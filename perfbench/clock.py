@@ -65,16 +65,17 @@ class Timing:
 class Clock:
     """Times blocks in adjusted seconds; probes run between blocks, untimed.
 
-    ``adjust=False`` times in raw wall seconds, for work the probe does not
-    track: a sweep into the default store spends most of its time creating
-    files in the kernel, and on the host the benchmark was defined on its
-    raw throughput spread 7% between runs against 22% adjusted (solve-cold:
-    41% raw, 6% adjusted; serve-mix: 24% raw, 6% adjusted).
+    ``probe`` returns the seconds a fixed piece of the benchmark's own work
+    takes now, ``reference`` what it took on the host the benchmark was
+    defined on.  The default probe is CPU work in this process; serve-mix,
+    whose requests are served by a daemon in another process, probes with
+    HTTP round trips to a reference server instead (``echo.py``).
     """
 
-    def __init__(self, adjust: bool = True) -> None:
-        self.adjust = adjust
-        self._last_probe = probe_seconds() if adjust else 0.0
+    def __init__(self, probe=probe_seconds, reference: float = PROBE_REFERENCE_S) -> None:
+        self.probe = probe
+        self.reference = reference
+        self._last_probe = probe()
         self.factors: list[float] = []
 
     @contextlib.contextmanager
@@ -85,10 +86,9 @@ class Clock:
             yield timing
         finally:
             timing.raw = time.perf_counter() - started
-            if self.adjust:
-                probe = probe_seconds()
-                timing.factor = PROBE_REFERENCE_S / ((self._last_probe + probe) / 2.0)
-                self._last_probe = probe
+            probe = self.probe()
+            timing.factor = self.reference / ((self._last_probe + probe) / 2.0)
+            self._last_probe = probe
             self.factors.append(timing.factor)
 
     def median_factor(self) -> float:

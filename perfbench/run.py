@@ -11,9 +11,10 @@ last line one JSON object: ``correct``, ``attempted``, ``failed`` and
 metrics with ``--trace 1`` (``names.py`` lists both).  The line before it is
 a ``{"record": ...}`` object with the facts a reader needs: seed, CPU count,
 Python/NumPy versions, git sha, the default store engine and the
-workload-specific numbers.  Solve-cold and serve-mix times are host-speed
-adjusted (``clock.py``); the record gives the median adjustment factor.  Scratch files go under
-``.perfbench/`` in the checkout and are removed on exit.
+workload-specific numbers.  End-to-end times are host-speed adjusted
+(``clock.py``); the record gives the median adjustment factor.
+Scratch files go under ``.perfbench/`` in the checkout and are removed on
+exit.
 
 ``python3 perfbench/run.py --write-reference`` recomputes the default-seed
 answers solve-cold checks against (``reference.json``).

@@ -4,8 +4,7 @@ Each workload function takes a :class:`Context` and returns an
 :class:`Outcome`.  An *op* is the unit a workload's ``ops_per_s`` and
 ``p50_ms`` are measured on; per-layer metrics are normalised per op.  Every
 end-to-end time is taken with the context's :class:`~clock.Clock`, so it is
-adjusted for the host's speed at the moment it was measured (sweep-store's
-excepted).
+adjusted for the host's speed at the moment it was measured.
 
 * ``solve-cold`` exists because ``repro.core``, ``repro.queueing`` and
   ``repro.hadoop`` do nearly all its work while the store, the daemon and the
@@ -13,20 +12,32 @@ excepted).
   and nowhere else.  Op: one cold solve of one (scenario, backend) point;
   ``p50_ms`` is the median time of one pass over all of them.
 * ``sweep-store`` exists because the model core does nothing in it: the
-  cold pass is store writes plus batch kernels, the warm pass store open,
-  plan and reads, so store, sweep and ``cache_key`` changes show and model
-  changes predict no change.  Op: one grid point; ``p50_ms`` is the median
-  time of one cycle (cold pass, then a resume from a fresh service).  Its
-  times are raw wall seconds (see :class:`~clock.Clock`).
+  cold pass is store writes plus batch kernels, a resume store open, plan
+  and reads, so store, sweep and ``cache_key`` changes show and model
+  changes predict no change.  Op: one grid point of a resume (a warm pass
+  from a fresh service over the store one cold pass filled at the start of
+  the run); ``p50_ms`` is the median resume time.  The cold pass is timed
+  and checked too, but reported per layer only: it creates one file per
+  point, and on the ext4 file system (no journal) of the host the
+  benchmark was defined on, creating a file costs 0.06-0.9 ms depending on
+  how many files anything deleted in the minutes before, so a metric
+  timing cold pass plus resume spread 17% and 50% over two ten-run sets.
+  For the same reason the run deletes no store before it ends.
 * ``serve-mix`` exists because HTTP and the service's memory-hit path set
   its median while cold solves set its tail; the store is idle.  Op: one
-  ``POST /predict``; ``ops_per_s`` and ``p50_ms`` are medians over 1 s
-  segments of the completed-request rate and of the client latency.
+  ``POST /predict`` from a single closed-loop client; ``ops_per_s`` and
+  ``p50_ms`` are medians over 1 s segments of the completed-request rate
+  and of the client latency.  Times are adjusted by round trips to a
+  reference HTTP server (``echo.py``), with client, daemon and echo server
+  pinned to one CPU so the probe times the CPU that does the work: over
+  five runs the median latency spread 23% adjusted by the CPU probe (which
+  does no socket or process-switch work) and 3% by the echo probe.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -44,6 +55,7 @@ from pathlib import Path
 
 import inputs
 from clock import Clock, Timing
+from echo import EchoProbe
 from names import SERVICE_COUNTERS, layer_values
 from spans import Recorder
 
@@ -57,8 +69,13 @@ REFERENCE_RTOL = 1e-9
 SETUP_REPEATS = 5
 #: Serve-mix load runs in segments this long, with a host-speed probe between.
 SEGMENT_S = 1.0
-#: Closed-loop serve-mix clients (the host has 2 CPUs).
-CLIENTS = 2
+#: Closed-loop serve-mix clients.  One: with two, a memory hit waited for the
+#: daemon's GIL behind the other client's cold solve about a third of the
+#: time, so the median latency sat between two modes and moved by half
+#: from run to run.
+CLIENTS = 1
+#: Echo round trip (``echo.py``) serve-mix times are adjusted against, seconds.
+ECHO_REFERENCE_S = 0.00125
 #: Memory hits replayed in-process for ``api.service.hit_us``.
 HIT_REPLAY = 2000
 
@@ -275,7 +292,6 @@ def _directory_bytes(path: Path) -> int:
 
 
 def sweep_store(ctx: Context) -> Outcome:
-    ctx.clock = Clock(adjust=False)  # file creation, which the probe does not track
     if ctx.tiny:
         suite = inputs.sweep_suite(ctx.seed, nodes=range(2, 6), gib=range(1, 4))
     else:
@@ -288,64 +304,75 @@ def sweep_store(ctx: Context) -> Outcome:
     warmup = inputs.sweep_suite(ctx.seed, nodes=range(2, 4), gib=range(1, 3))
     for repeat in range(1 if ctx.tiny else SETUP_REPEATS):
         path = ctx.work / f"setup-{repeat}"
-        with ctx.clock.timed() as setup:
-            fresh_import(ctx.root)
-            service = PredictionService(backends=backends, store=path)
-            SweepScheduler(service).run(warmup)
-        setups.append(setup.seconds)
-        shutil.rmtree(path)
+        # Raw wall seconds: set-up is mostly a fresh interpreter's imports,
+        # which the CPU probe does not track here (spread 27% adjusted over
+        # ten runs); raw, its median stayed within 4% over three ten-run sets.
+        started = time.perf_counter()
+        fresh_import(ctx.root)
+        service = PredictionService(backends=backends, store=path)
+        SweepScheduler(service).run(warmup)
+        setups.append(time.perf_counter() - started)
 
-    colds: list[float] = []
-    warms: list[float] = []
     counters = {name: 0 for name in SERVICE_COUNTERS}
     reference_series: dict[str, list[float]] = {}
-    store_bytes = [0]
 
-    def one_cycle(recorder: Recorder | None = None) -> float:
-        path = ctx.work / "cycle"
-        passes = []
-        for phase in ("cold", "warm"):
-            with ctx.clock.timed() as sweep, op_span(recorder, f"bench.sweep.{phase}"):
-                service = PredictionService(backends=backends, store=path)
-                outcome = SweepScheduler(service).run(suite)
-            passes.append(sweep.seconds)
-            out.attempted += points
-            out.failed += _check_sweep(outcome, phase, backends, reference_series)
-            if recorder is not None:
-                for name in SERVICE_COUNTERS:
-                    counters[name] += getattr(outcome.stats, name)
-        if not store_bytes[0]:
-            store_bytes[0] = _directory_bytes(path)
-        shutil.rmtree(path)
-        if recorder is None:
-            colds.append(passes[0])
-            warms.append(passes[1])
-        return passes[0] + passes[1]
+    def one_pass(path: Path, phase: str, recorder: Recorder | None = None) -> Timing:
+        with ctx.clock.timed() as sweep, op_span(recorder, f"bench.sweep.{phase}"):
+            service = PredictionService(backends=backends, store=path)
+            outcome = SweepScheduler(service).run(suite)
+        out.attempted += points
+        out.failed += _check_sweep(outcome, phase, backends, reference_series)
+        if recorder is not None:
+            for name in SERVICE_COUNTERS:
+                counters[name] += getattr(outcome.stats, name)
+        return sweep
+
+    # One cold pass fills the store every timed resume reads; nothing is
+    # deleted until the run ends (see the module docstring).
+    store = ctx.work / "store"
+    cold = one_pass(store, "cold")
+    warms: list[Timing] = []
+
+    def one_resume() -> float:
+        warms.append(one_pass(store, "warm"))
+        return warms[-1].seconds
 
     untraced_budget = ctx.seconds / 2 if ctx.trace else ctx.seconds
-    cycles = repeat_until(untraced_budget, 1 if ctx.trace or ctx.tiny else 2, one_cycle)
-    cold, warm = statistics.median(colds), statistics.median(warms)
+    resumes = repeat_until(untraced_budget, 1 if ctx.trace or ctx.tiny else 3, one_resume)
+    warm = statistics.median(resumes)
+    warm_raw = statistics.median(timing.raw for timing in warms)
     out.metrics = {
         "setup_s": statistics.median(setups),
-        "ops_per_s": 2 * points / (cold + warm),
-        "p50_ms": statistics.median(cycles) * 1000.0,
+        "ops_per_s": points / warm,
+        "p50_ms": warm * 1000.0,
         "peak_rss_mb": peak_rss_mb(),
     }
-    out.layers["sweep_cold_points_per_s"] = points / cold
-    out.layers["sweep_warm_points_per_s"] = points / warm
-    out.layers["sweep.warm_share"] = warm / (cold + warm)
-    out.layers["api.store.bytes"] = store_bytes[0]
+    out.layers["sweep_cold_points_per_s"] = points / cold.raw
+    out.layers["sweep_warm_points_per_s"] = points / warm_raw
+    out.layers["sweep.warm_share"] = warm_raw / (cold.raw + warm_raw)
+    out.layers["api.store.bytes"] = _directory_bytes(store)
 
     if ctx.trace:
+        cycle_paths = (ctx.work / f"traced-{index}" for index in itertools.count())
+        traced_warms: list[float] = []
+
+        def one_cycle(recorder: Recorder) -> float:
+            path = next(cycle_paths)
+            cold_raw = one_pass(path, "cold", recorder).raw
+            traced_warms.append(one_pass(path, "warm", recorder).raw)
+            return cold_raw + traced_warms[-1]
+
         recorder, traced = run_traced(ctx, one_cycle)
         ops = 2 * points * len(traced)
+        # Overhead from resumes only: the cold pass's file creation varies
+        # more between passes than tracing costs.
         trace_summary(
             out, recorder.export(), ops, recorder.root_seconds(),
-            statistics.median(traced) / statistics.median(cycles) - 1.0,
+            statistics.median(traced_warms) / warm_raw - 1.0,
         )
         for name in SERVICE_COUNTERS:
             out.layers[f"api.service.{name}"] = counters[name] / ops
-    out.facts.update(cycles=len(cycles), points=points)
+    out.facts.update(resumes=len(resumes), points=points, cold_pass_s=cold.raw)
     return out
 
 
@@ -472,34 +499,27 @@ class Traffic:
 def drive(daemon: Daemon, ctx: Context, budget: float, minimum: int) -> Traffic:
     """Closed loop: ``CLIENTS`` threads each send the next request on a reply.
 
-    Load runs in segments of ``SEGMENT_S``; between segments the clients
-    wait while the clock probes the host.  A request is far shorter than the
-    probe's own noise, so every latency is scaled by the phase's median
-    speed factor rather than its segment's.  The end-to-end figures are
-    medians over segments, so a stall of the shared host that lasts a few
-    seconds moves them no more than it moves one segment.
+    Load runs in segments of ``SEGMENT_S``; between segments the client
+    waits while the clock probes the host, and a segment's latencies are
+    scaled by its own speed factor.  The end-to-end figures are medians over
+    segments, so a stall of the shared host that lasts a few seconds moves
+    them no more than it moves one segment.
     """
     traffic = Traffic()
     streams = [inputs.RequestStream(ctx.seed, index) for index in range(CLIENTS)]
     seen: set[str] = set()
-    segments: list[tuple[list, Timing]] = []
-    requests = 0
     started = time.perf_counter()
-    while time.perf_counter() - started < budget or requests < minimum:
+    while time.perf_counter() - started < budget or len(traffic.latencies) < minimum:
         segment: list[tuple[float, bool]] = []
         with ctx.clock.timed() as timing:
             _run_segment(daemon, streams, seen, traffic, segment)
-        segments.append((segment, timing))
-        requests += len(segment)
-    factor = statistics.median(timing.factor for _, timing in segments)
-    for segment, timing in segments:
-        latencies = [elapsed_ms * factor for elapsed_ms, _ in segment]
+        latencies = [latency * timing.factor for latency, _ in segment]
         for latency, (_, first) in zip(latencies, segment):
             (traffic.miss_ms if first else traffic.hit_ms).append(latency)
         traffic.latencies += latencies
-        traffic.wall += timing.raw * factor
+        traffic.wall += timing.seconds
         if latencies:
-            traffic.segment_rates.append(len(latencies) / (timing.raw * factor))
+            traffic.segment_rates.append(len(latencies) / timing.seconds)
             traffic.segment_p50s.append(statistics.median(latencies))
     return traffic
 
@@ -594,6 +614,18 @@ def hit_microseconds(ctx: Context, service: PredictionService, repeats: list) ->
 
 
 def serve_mix(ctx: Context) -> Outcome:
+    # Client, daemon and echo server share one CPU, so the probe times the
+    # CPU that does the work (see the module docstring).
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    echo = EchoProbe(ctx.root, {"scenario": inputs.warmup_scenario().to_dict(), "backend": "aria"})
+    try:
+        ctx.clock = Clock(probe=echo.seconds, reference=ECHO_REFERENCE_S)
+        return _serve_mix(ctx)
+    finally:
+        echo.stop()
+
+
+def _serve_mix(ctx: Context) -> Outcome:
     minimum = 60 if ctx.tiny else 3000
     out = Outcome()
     setups = []
