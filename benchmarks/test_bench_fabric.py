@@ -1,4 +1,4 @@
-"""Perf bench for the cooperative sweep fabric and the store engines.
+"""Perf bench for the cooperative sweep fabric and the result store.
 
 Three machine-readable ``BENCH_FABRIC {json}`` lines per run:
 
@@ -10,10 +10,11 @@ Three machine-readable ``BENCH_FABRIC {json}`` lines per run:
   ``time.sleep``, so the ratio measures the fabric's parallelism, not CPU
   contention, and is load-robust in a way CPU-bound ratios are not.
 * ``sqlite_cold_open`` — a fresh store object bulk-probes a store of 10k
-  records (1k in smoke mode): the single-file SQLite engine must beat the
-  sharded-JSON engine's listdir-plus-parse probe (asserted in full mode).
-* ``store_gc`` — one TTL/compaction pass per engine over a half-expired
-  store; purge counts are asserted, the wall-clock is reported.
+  records (1k in smoke mode).  Asserted deterministically: the probe issues
+  exactly ``ceil(probes / 500)`` ``SELECT`` statements and returns every hit; the
+  seed and probe wall-clocks are reported.
+* ``store_gc`` — one TTL/compaction pass over a half-expired store; purge
+  counts are asserted, the wall-clock is reported.
 
 Set ``BENCH_SMOKE=1`` to shrink the grids (used by CI on every push).
 """
@@ -21,6 +22,7 @@ Set ``BENCH_SMOKE=1`` to shrink the grids (used by CI on every push).
 from __future__ import annotations
 
 import json
+import math
 import os
 import sqlite3
 import threading
@@ -29,7 +31,7 @@ import time
 from repro.api import PredictionService, Scenario, ScenarioSuite, SweepScheduler, create_backend
 from repro.api.backends import _REGISTRY
 from repro.api.results import PredictionResult
-from repro.api.store import DB_FILENAME, ResultStore, SqliteResultStore
+from repro.api.store import DB_FILENAME, SqliteResultStore
 from repro.units import megabytes
 
 #: Scenario template the fabric grids sweep over.
@@ -186,98 +188,83 @@ def _seed_synthetic(store, count: int) -> PredictionResult:
 
 
 def test_bench_sqlite_cold_open(tmp_path):
-    """Cold bulk probe of a large store: single-file SQLite vs sharded JSON."""
+    """Cold bulk probe of a large store: a few indexed SELECTs, every hit found."""
     records = 1_000 if _smoke_mode() else 10_000
-    probes = 200 if _smoke_mode() else 500
-    seed_seconds = {}
-    stores = {}
-    for fmt, cls in (("json", ResultStore), ("sqlite", SqliteResultStore)):
-        store = cls(tmp_path / fmt)
-        started = time.perf_counter()
-        expected = _seed_synthetic(store, records)
-        seed_seconds[fmt] = time.perf_counter() - started
-        if fmt == "sqlite":
-            store.close()
-        stores[fmt] = cls
+    probes = 600 if _smoke_mode() else 1_250
+    store = SqliteResultStore(tmp_path / "store")
+    started = time.perf_counter()
+    expected = _seed_synthetic(store, records)
+    seed_seconds = time.perf_counter() - started
+    store.close()
     step = records // probes
     points = [
         (f"bench-point-{i * step:06d}", "herodotou", None) for i in range(probes)
     ]
-    probe_seconds = {}
-    for fmt, cls in stores.items():
-        cold = cls(tmp_path / fmt)  # a brand-new object: nothing indexed yet
-        started = time.perf_counter()
-        found = cold.get_many(points)
-        probe_seconds[fmt] = time.perf_counter() - started
-        assert len(found) == probes
-        assert found[(points[0][0], "herodotou")] == expected
+    cold = SqliteResultStore(tmp_path / "store")  # a brand-new object: nothing indexed yet
+    with cold._lock:
+        conn = cold._connect()
+    statements: list[str] = []
+    conn.set_trace_callback(statements.append)
+    started = time.perf_counter()
+    found = cold.get_many(points)
+    probe_seconds = time.perf_counter() - started
+    conn.set_trace_callback(None)
+    selects = sum(1 for sql in statements if sql.lstrip().upper().startswith("SELECT"))
     record = {
         "bench": "sqlite_cold_open",
         "records": records,
         "probes": probes,
-        "json_seed_seconds": seed_seconds["json"],
-        "sqlite_seed_seconds": seed_seconds["sqlite"],
-        "json_probe_seconds": probe_seconds["json"],
-        "sqlite_probe_seconds": probe_seconds["sqlite"],
-        "probe_speedup": (
-            probe_seconds["json"] / probe_seconds["sqlite"]
-            if probe_seconds["sqlite"] > 0
-            else 0.0
-        ),
+        "select_statements": selects,
+        "statements": len(statements),
+        "seed_seconds": seed_seconds,
+        "probe_seconds": probe_seconds,
     }
     print()
     _emit(record)
-    if not _smoke_mode():
-        assert probe_seconds["sqlite"] < probe_seconds["json"], (
-            f"sqlite cold probe ({probe_seconds['sqlite']:.3f}s) not faster than "
-            f"sharded-JSON ({probe_seconds['json']:.3f}s) over {records} records"
-        )
+    assert len(found) == probes
+    assert found[(points[0][0], "herodotou")] == expected
+    assert selects == len(statements) == math.ceil(probes / 500)
 
 
-def _backdate_half(store_path, fmt: str, count: int) -> int:
+def _backdate_half(store_path, count: int) -> int:
     """Make the first half of a store's records look 1000 seconds old."""
     half = count // 2
-    past = time.time() - 1000.0
-    if fmt == "json":
-        files = sorted((store_path / "records").glob("??/*.json"))[:half]
-        for record_file in files:
-            os.utime(record_file, (past, past))
-    else:
-        conn = sqlite3.connect(store_path / DB_FILENAME)
-        try:
-            with conn:
-                conn.execute(
-                    "UPDATE records SET created = ? WHERE token IN "
-                    "(SELECT token FROM records ORDER BY token LIMIT ?)",
-                    (past, half),
-                )
-        finally:
-            conn.close()
+    conn = sqlite3.connect(store_path / DB_FILENAME)
+    try:
+        with conn:
+            conn.execute(
+                "UPDATE records SET created = ? WHERE token IN "
+                "(SELECT token FROM records ORDER BY token LIMIT ?)",
+                (time.time() - 1000.0, half),
+            )
+    finally:
+        conn.close()
     return half
 
 
 def test_bench_store_gc(tmp_path):
-    """One TTL/compaction pass per engine over a half-expired store."""
+    """One TTL/compaction pass over a half-expired store."""
     records = 300 if _smoke_mode() else 2_000
+    store_path = tmp_path / "store"
+    seeded = SqliteResultStore(store_path)
+    _seed_synthetic(seeded, records)
+    seeded.close()
+    half = _backdate_half(store_path, records)
+    store = SqliteResultStore(store_path)
+    started = time.perf_counter()
+    stats = store.gc(ttl=500.0)
+    gc_seconds = time.perf_counter() - started
+    assert stats.expired == half
+    assert stats.remaining == records - half
     print()
-    for fmt, cls in (("json", ResultStore), ("sqlite", SqliteResultStore)):
-        store_path = tmp_path / fmt
-        _seed_synthetic(cls(store_path), records)
-        half = _backdate_half(store_path, fmt, records)
-        store = cls(store_path)
-        started = time.perf_counter()
-        stats = store.gc(ttl=500.0)
-        gc_seconds = time.perf_counter() - started
-        assert stats.expired == half
-        assert stats.remaining == records - half
-        _emit(
-            {
-                "bench": "store_gc",
-                "format": fmt,
-                "records": records,
-                "purged": stats.purged,
-                "remaining": stats.remaining,
-                "reclaimed_bytes": stats.reclaimed_bytes,
-                "gc_seconds": gc_seconds,
-            }
-        )
+    _emit(
+        {
+            "bench": "store_gc",
+            "format": store.format_name,
+            "records": records,
+            "purged": stats.purged,
+            "remaining": stats.remaining,
+            "reclaimed_bytes": stats.reclaimed_bytes,
+            "gc_seconds": gc_seconds,
+        }
+    )

@@ -7,7 +7,7 @@ proves the resumability contract, as machine-readable JSON lines:
   size (the saving grows with the grid);
 * **optimum match**: the planner's winner equals the true feasible optimum
   from an exhaustive evaluation of the same grid;
-* **warm resume**: re-planning against the warmed ``ResultStore`` performs
+* **warm resume**: re-planning against the warmed ``SqliteResultStore`` performs
   zero live evaluations and reproduces the result section bit-identically;
 * **wall time** for the cold search.
 

@@ -417,7 +417,7 @@ def test_bench_faulted_sweep():
     overhead must stay bounded (the faults are cheap, so wall-clock may not
     exceed ~5x the clean run even on a noisy CI box).
     """
-    from repro.api import ResultStore, RetryPolicy
+    from repro.api import RetryPolicy, SqliteResultStore
     from repro.testing import FaultInjector, FaultSpec, inject_backend_faults
 
     backends = ["aria", "herodotou"]
@@ -466,7 +466,7 @@ def test_bench_faulted_sweep():
             started = time.perf_counter()
             faulted = service.evaluate_suite(suite, backends)
             faulted_seconds = time.perf_counter() - started
-        stored_records = ResultStore(store_path).refresh().loaded
+        stored_records = SqliteResultStore(store_path).refresh().loaded
 
     stats = service.stats()
     record = {

@@ -13,11 +13,10 @@ prediction engines:
 * :class:`PredictionService` — batch evaluation of suites across backends
   with keyed result caching, serial / thread-pool / process-pool execution
   modes, and one-call ``predict_batch`` dispatch to batch-capable backends;
-* :class:`ResultStore` / :class:`SqliteResultStore` (via :func:`open_store`)
-  — persistent, crash-tolerant result stores keyed by
-  ``(Scenario.cache_key(), backend)`` — sharded JSON or single-file SQLite
-  behind one contract — with TTL/size garbage collection
-  (:meth:`BaseResultStore.gc`) and a claim/lease namespace
+* :class:`SqliteResultStore` (via :func:`open_store`) — the persistent,
+  crash-tolerant result store keyed by ``(Scenario.cache_key(), backend)``,
+  one SQLite file per store directory, with TTL/size garbage collection
+  (:meth:`SqliteResultStore.gc`) and a claim/lease table
   (:class:`LeaseManager`) for cooperative multi-worker sweeps;
 * :class:`SweepScheduler` — store-aware sweep planning: compute the missing
   points of a target grid, execute only those, resume interrupted sweeps —
@@ -81,11 +80,8 @@ from .service import (
 from .store import (
     QUARANTINE_DIR,
     STORE_FORMAT_VERSION,
-    STORE_FORMATS,
-    BaseResultStore,
     GcStats,
     LeaseManager,
-    ResultStore,
     SqliteResultStore,
     StoreStats,
     open_store,
@@ -118,7 +114,6 @@ def __getattr__(name: str):
 __all__ = [
     "BackendCapabilityError",
     "BackendComparison",
-    "BaseResultStore",
     "BreakerPolicy",
     "BreakerSnapshot",
     "CapacityPlanner",
@@ -142,10 +137,8 @@ __all__ = [
     "PredictionResult",
     "PredictionService",
     "QUARANTINE_DIR",
-    "ResultStore",
     "RetryPolicy",
     "SCENARIO_SPEC_VERSION",
-    "STORE_FORMATS",
     "STORE_FORMAT_VERSION",
     "Scenario",
     "ScenarioSuite",

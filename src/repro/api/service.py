@@ -9,8 +9,9 @@ runner, and library users share.  It
   stable :meth:`~repro.api.scenario.Scenario.cache_key`, so sweeps that
   revisit a point (and repeated figure runs) pay for it once;
 * optionally persists every evaluation through a
-  :class:`~repro.api.store.ResultStore`, so sweeps survive process restarts
-  and repeated runs replay completed points from disk;
+  :class:`~repro.api.store.SqliteResultStore` (one SQLite file per store
+  directory), so sweeps survive process restarts and repeated runs replay
+  completed points from disk;
 * fans a :class:`~repro.api.scenario.ScenarioSuite` out over a pluggable
   executor layer — ``execution="serial"`` (no pool, deterministic debugging),
   ``"thread"`` (the default; fine for the NumPy-heavy analytic backends,
@@ -72,7 +73,7 @@ from .resilience import (
 )
 from .results import BackendComparison, FailedResult, PredictionResult
 from .scenario import Scenario, ScenarioSuite
-from .store import BaseResultStore, open_store
+from .store import SqliteResultStore, open_store
 
 logger = logging.getLogger(__name__)
 
@@ -269,8 +270,7 @@ class PredictionService:
         max_workers: int | None = None,
         cache: bool = True,
         backend_options: dict[str, dict] | None = None,
-        store: BaseResultStore | str | os.PathLike | None = None,
-        store_format: str | None = None,
+        store: SqliteResultStore | str | os.PathLike | None = None,
         execution: str = "thread",
         batch: bool = True,
         retry: RetryPolicy | int | None = None,
@@ -303,10 +303,8 @@ class PredictionService:
         #: ``predict_batch`` call.  ``batch=False`` forces the per-scenario
         #: path (the benches use it as the batching baseline).
         self._batch_enabled = batch
-        if store is not None and not isinstance(store, BaseResultStore):
-            # A path opens whichever engine the directory already holds
-            # (``store_format`` forces one; see ``open_store``).
-            store = open_store(store, format=store_format)
+        if store is not None and not isinstance(store, SqliteResultStore):
+            store = open_store(store)
         self._store = store
         self._retry = RetryPolicy.resolve(retry)
         self._timeout = timeout
@@ -347,7 +345,7 @@ class PredictionService:
         return self._execution
 
     @property
-    def store(self) -> BaseResultStore | None:
+    def store(self) -> SqliteResultStore | None:
         """The persistent result store, if one is attached."""
         return self._store
 
@@ -841,7 +839,7 @@ class PredictionService:
         Duplicate sweep points share one evaluation (each extra cell counts
         as one ``coalesced`` join in :meth:`stats`).  The unique points are
         partitioned into memory hits, store hits (bulk-probed through
-        :meth:`ResultStore.get_many`), and misses; misses of batch-capable
+        :meth:`SqliteResultStore.get_many`), and misses; misses of batch-capable
         backends are grouped per backend and dispatched in one
         ``predict_batch`` call, the rest fan out per the service's
         ``execution`` mode.  The partition is independent of the execution

@@ -1,20 +1,15 @@
-"""Durable result store: two engines, one contract, plus the sweep fabric.
+"""Durable result store and the sweep fabric's claim namespace.
 
-``repro.api.store`` is a package of four layers:
+``repro.api.store`` has one engine and two layers:
 
-* :mod:`~repro.api.store.base` — the :class:`BaseResultStore` contract every
-  engine implements (versioning, corruption/quarantine, gc semantics) and
-  shared helpers;
-* :mod:`~repro.api.store.json_store` — the default sharded-JSON engine
-  (:class:`ResultStore`), one atomic file per record;
-* :mod:`~repro.api.store.sqlite_store` — the single-file WAL-mode SQLite
-  engine (:class:`SqliteResultStore`) for O(1) cold-open on huge stores;
+* :mod:`~repro.api.store.sqlite_store` — :class:`SqliteResultStore`, every
+  record one row of a single WAL-mode SQLite file (versioning, corruption
+  quarantine, gc);
 * :mod:`~repro.api.store.leases` — the claim/lease protocol cooperative
-  sweep workers use to drain one grid with zero duplicate evaluations.
+  sweep workers use to drain one grid with zero duplicate evaluations;
+  claims are rows of the same database.
 
-:func:`open_store` is the front door: it selects an engine by explicit
-format name or by sniffing the on-disk layout, so callers (CLI, service,
-daemon) stay engine-agnostic.
+:func:`open_store` is the front door the CLI, service and daemon use.
 """
 
 from __future__ import annotations
@@ -23,88 +18,47 @@ import os
 from pathlib import Path
 
 from ...exceptions import ValidationError
-from .base import (
-    LEASES_DIR,
+from .leases import DEFAULT_LEASE_TTL, LeaseInfo, LeaseManager
+from .sqlite_store import (
+    DB_FILENAME,
     QUARANTINE_DIR,
     STORE_FORMAT_VERSION,
-    BaseResultStore,
     GcStats,
+    SqliteResultStore,
     StoreStats,
     _canonical_options,
     point_token,
 )
-from .json_store import ResultStore
-from .leases import DEFAULT_LEASE_TTL, LeaseInfo, LeaseManager
-from .sqlite_store import DB_FILENAME, SqliteResultStore
-
-#: Engine names ``open_store`` / ``--store-format`` accept.
-STORE_FORMATS = ("json", "sqlite")
-
-_ENGINES: dict[str, type[BaseResultStore]] = {
-    ResultStore.format_name: ResultStore,
-    SqliteResultStore.format_name: SqliteResultStore,
-}
 
 
-def detect_store_format(path: str | os.PathLike) -> str | None:
-    """The engine an existing store directory was written with, or ``None``.
+def open_store(path: str | os.PathLike) -> SqliteResultStore:
+    """Open the result store at ``path`` (created on first write).
 
-    A ``store.sqlite3`` file marks the SQLite engine; a ``records/``
-    directory marks sharded JSON.  An empty or absent directory has no
-    format yet.
+    A directory holding a ``records/`` folder and no database is a store of
+    the retired sharded-JSON layout.  It is refused rather than shadowed by
+    a second, empty store beside it; every record in it is recomputable.
     """
     root = Path(path)
-    if (root / DB_FILENAME).is_file():
-        return SqliteResultStore.format_name
-    if (root / "records").is_dir():
-        return ResultStore.format_name
-    return None
-
-
-def open_store(
-    path: str | os.PathLike, format: str | None = None
-) -> BaseResultStore:
-    """Open a result store, selecting the engine for the caller.
-
-    ``format`` may be an explicit engine name (``"json"`` / ``"sqlite"``);
-    when omitted the on-disk layout decides, and a brand-new directory gets
-    the default JSON engine.  An explicit format that contradicts an
-    existing store of the other engine is rejected rather than silently
-    shadowing the data.
-    """
-    detected = detect_store_format(path)
-    if format is None:
-        chosen = detected or ResultStore.format_name
-    else:
-        if format not in _ENGINES:
-            raise ValidationError(
-                f"unknown store format {format!r}; expected one of {STORE_FORMATS}"
-            )
-        if detected is not None and detected != format:
-            raise ValidationError(
-                f"store at {str(path)!r} holds {detected!r} records; "
-                f"refusing to open it as {format!r}"
-            )
-        chosen = format
-    return _ENGINES[chosen](path)
+    if (root / "records").is_dir() and not (root / DB_FILENAME).exists():
+        raise ValidationError(
+            f"store at {str(root)!r} uses the retired sharded-JSON layout "
+            f"(a records/ directory and no {DB_FILENAME}); its results are a "
+            "recomputable cache, so delete the directory and rerun to rebuild it"
+        )
+    return SqliteResultStore(root)
 
 
 __all__ = [
-    "BaseResultStore",
     "DB_FILENAME",
     "DEFAULT_LEASE_TTL",
     "GcStats",
-    "LEASES_DIR",
     "LeaseInfo",
     "LeaseManager",
     "QUARANTINE_DIR",
-    "ResultStore",
-    "STORE_FORMATS",
     "STORE_FORMAT_VERSION",
     "SqliteResultStore",
     "StoreStats",
     "_canonical_options",
-    "detect_store_format",
     "open_store",
     "point_token",
 ]

@@ -2,32 +2,31 @@
 
 A cooperative sweep needs exactly one guarantee the result store alone does
 not give: *at most one live worker evaluates a given point at a time*.  The
-store already makes concurrent writers safe (last atomic rename wins, both
+store already makes concurrent writers safe (last upsert wins, both
 contents identical); leases make them *efficient* by preventing the
 duplicate evaluation in the first place — and, unlike a lock, a lease
 expires, so a crashed worker's points return to the pool instead of
 deadlocking the sweep.
 
-The protocol is plain files, so it works wherever the store works (local
-disk, NFS with POSIX rename semantics) with no coordination server:
+Claims are rows of the store's own database, the ``leases`` table
+``(token PRIMARY KEY, owner, acquired, renewed, ttl)``, so they work
+wherever the store works with no coordination server:
 
-* **Claim** — ``O_CREAT | O_EXCL`` on ``<leases>/<token>.lease`` is the
-  atomic test-and-set: exactly one worker creates the file.  The file body
-  records the owner, acquisition time, last renewal, and TTL.
-* **Heartbeat** — a live worker renews its claims (atomic
-  write-temp-then-``os.replace``) well inside the TTL; the
+* **Claim** — under ``BEGIN IMMEDIATE``, one conditional upsert inserts the
+  row, or takes an existing row over only if ``renewed + ttl < now``.  The
+  statement's change count says whether this worker won; SQLite's write
+  lock makes exactly one of any number of racing challengers win.
+* **Heartbeat** — a live worker renews its claims (``UPDATE … SET renewed``
+  where it is still the owner) well inside the TTL; the
   :meth:`LeaseManager.heartbeat` context manager runs that on a background
   thread so a single long evaluation cannot silently expire its own lease.
-* **Expiry & takeover** — a claim whose ``renewed + ttl`` has passed is
-  dead.  Takeover must itself be race-free: the challenger first
-  ``os.replace``\\ s the expired claim onto a unique tombstone name —
-  exactly one challenger's rename succeeds, the rest see ``ENOENT`` — and
-  only the winner re-runs the ``O_EXCL`` claim.
-* **Release** — the owner unlinks its claim after the point's result is
+* **Release** — ``DELETE … WHERE owner = ?`` after the point's result is
   durably in the store, so the "claimed" and "answered" states never gap.
+* **Reaping** — :meth:`~repro.api.store.SqliteResultStore.gc` deletes rows
+  whose TTL has passed.
 
-Timestamps are wall-clock (``time.time``) because claim files may be read
-by other machines; the TTL should therefore comfortably exceed both the
+Timestamps are wall-clock (``time.time``) because claims may be read by
+other processes; the TTL should therefore comfortably exceed both the
 heartbeat interval and any plausible clock skew.  The default heartbeat
 interval is ``ttl / 3``.
 """
@@ -35,28 +34,39 @@ interval is ``ttl / 3``.
 from __future__ import annotations
 
 import contextlib
-import json
-import os
 import threading
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ...exceptions import ValidationError
+
+if TYPE_CHECKING:
+    from .sqlite_store import SqliteResultStore
 
 #: Default lease time-to-live in seconds.  Long enough that a heartbeat at
 #: ttl/3 survives severe scheduler delay; short enough that a crashed
 #: worker's points return to the pool quickly.
 DEFAULT_LEASE_TTL = 30.0
 
-#: Suffix of claim files under the leases directory.
-LEASE_SUFFIX = ".lease"
+#: Insert a claim, or take over an existing one only once it has expired.
+_CLAIM = """
+INSERT INTO leases (token, owner, acquired, renewed, ttl) VALUES (?, ?, ?, ?, ?)
+ON CONFLICT (token) DO UPDATE SET
+    owner = excluded.owner,
+    acquired = excluded.acquired,
+    renewed = excluded.renewed,
+    ttl = excluded.ttl
+WHERE leases.renewed + leases.ttl < excluded.renewed
+"""
+
+_SELECT = "SELECT token, owner, acquired, renewed, ttl FROM leases"
 
 
 @dataclass(frozen=True)
 class LeaseInfo:
-    """One claim file's contents (or best-effort reconstruction thereof)."""
+    """One claim row."""
 
     token: str
     worker: str
@@ -78,26 +88,22 @@ class LeaseManager:
     """Claim, renew, and release point leases for one worker.
 
     One manager serves one ``worker_id``; the claim *namespace* (the
-    directory) is shared by every manager pointed at the same store path.
-    Thread-safe: the heartbeat thread and the claiming thread share the
-    held-lease ledger under a lock.
+    store's ``leases`` table) is shared by every manager over the same
+    store path.  Thread-safe: the heartbeat thread and the claiming thread
+    share the held-lease ledger under a lock.
     """
 
     def __init__(
         self,
-        path: str | os.PathLike,
+        store: "SqliteResultStore",
         worker_id: str,
         ttl: float = DEFAULT_LEASE_TTL,
     ) -> None:
         if not worker_id:
             raise ValidationError("worker_id must be a non-empty string")
-        if any(ch in worker_id for ch in "/\\\0"):
-            raise ValidationError(
-                f"worker_id {worker_id!r} must not contain path separators"
-            )
         if ttl <= 0:
             raise ValidationError(f"lease ttl must be positive, got {ttl}")
-        self._path = Path(path)
+        self._store = store
         self.worker_id = worker_id
         self.ttl = float(ttl)
         self._lock = threading.Lock()
@@ -106,127 +112,39 @@ class LeaseManager:
         #: too late); exposed so a sweep can re-check those points.
         self.lost: set[str] = set()
 
-    @property
-    def path(self) -> Path:
-        """Directory the claim files live in."""
-        return self._path
-
     def held(self) -> list[str]:
         """Tokens this manager currently believes it owns."""
         with self._lock:
             return sorted(self._held)
 
-    def _lease_path(self, token: str) -> Path:
-        if not token or any(ch in token for ch in "/\\\0"):
-            raise ValidationError(f"invalid lease token {token!r}")
-        return self._path / f"{token}{LEASE_SUFFIX}"
-
-    def _payload(self, acquired: float) -> dict:
-        now = time.time()
-        return {
-            "worker": self.worker_id,
-            "acquired": acquired,
-            "renewed": now,
-            "ttl": self.ttl,
-        }
-
     def read(self, token: str) -> LeaseInfo | None:
-        """The current claim on ``token``, or ``None`` when unclaimed.
-
-        A claim file that exists but cannot be parsed (a writer between its
-        ``O_EXCL`` create and its first byte, or torn bytes after a crash)
-        is reported as a *live* claim aged by the file's mtime: treating it
-        as free would let two workers claim one point, while treating it as
-        held merely delays takeover by at most one TTL.
-        """
-        path = self._lease_path(token)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                data = json.load(handle)
-            return LeaseInfo(
-                token=token,
-                worker=str(data["worker"]),
-                acquired=float(data["acquired"]),
-                renewed=float(data["renewed"]),
-                ttl=float(data["ttl"]),
-            )
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, TypeError, KeyError):
-            try:
-                mtime = os.stat(path).st_mtime
-            except OSError:
-                return None  # vanished between open and stat: unclaimed
-            return LeaseInfo(
-                token=token, worker="?", acquired=mtime, renewed=mtime, ttl=self.ttl
-            )
+        """The current claim on ``token``, or ``None`` when unclaimed."""
+        rows = self._store._query(f"{_SELECT} WHERE token = ?", (token,))
+        return LeaseInfo(*rows[0]) if rows else None
 
     def scan(self) -> list[LeaseInfo]:
         """All current claims in the namespace (any owner)."""
-        if not self._path.is_dir():
-            return []
-        infos = []
-        for name in sorted(os.listdir(self._path)):
-            if not name.endswith(LEASE_SUFFIX):
-                continue
-            info = self.read(name[: -len(LEASE_SUFFIX)])
-            if info is not None:
-                infos.append(info)
-        return infos
+        return [LeaseInfo(*row) for row in self._store._query(f"{_SELECT} ORDER BY token")]
 
-    def _create(self, path: Path, token: str) -> bool:
-        """The atomic test-and-set: ``O_EXCL`` create, then write the body."""
-        try:
-            self._path.mkdir(parents=True, exist_ok=True)
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        except OSError:
-            return False  # unwritable namespace: behave as "not claimed"
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(self._payload(acquired=time.time()), handle)
-        except OSError:
-            with contextlib.suppress(OSError):
-                os.unlink(path)
+    def try_claim(self, token: str) -> bool:
+        """Claim one point; ``True`` iff this worker now owns the lease.
+
+        A fresh point is inserted, an owned one is already ours, a live
+        peer's claim stands (``False``), and an expired claim is taken over
+        by exactly one challenger.
+        """
+        with self._lock:
+            if token in self._held:
+                return True
+        now = time.time()
+        with self._store._write() as conn:
+            won = conn.execute(_CLAIM, (token, self.worker_id, now, now, self.ttl)).rowcount
+        if not won:
             return False
         with self._lock:
             self._held.add(token)
             self.lost.discard(token)
         return True
-
-    def try_claim(self, token: str) -> bool:
-        """Claim one point; ``True`` iff this worker now owns the lease.
-
-        Handles the full ladder: fresh claim, already-ours, held-by-a-live
-        peer (``False``), and takeover of an expired claim (tombstone rename
-        so exactly one challenger wins).
-        """
-        path = self._lease_path(token)
-        with self._lock:
-            if token in self._held:
-                return True
-        if self._create(path, token):
-            return True
-        info = self.read(token)
-        if info is None:
-            # Released between our create attempt and the read; one retry.
-            return self._create(path, token)
-        if not info.expired():
-            return False
-        # Expired: steal it.  os.replace moves the claim onto a name unique
-        # to this challenger; exactly one concurrent rename of the same
-        # source succeeds, so at most one challenger proceeds to re-claim.
-        tombstone = path.with_name(
-            f"{path.name}.expired.{self.worker_id}.{os.getpid()}"
-        )
-        try:
-            os.replace(path, tombstone)
-        except OSError:
-            return False  # another challenger won (or the owner released)
-        with contextlib.suppress(OSError):
-            os.unlink(tombstone)
-        return self._create(path, token)
 
     def renew(self, token: str) -> bool:
         """Refresh one held lease's TTL; ``False`` when the lease was lost.
@@ -238,49 +156,41 @@ class LeaseManager:
         with self._lock:
             if token not in self._held:
                 return False
-        path = self._lease_path(token)
-        info = self.read(token)
-        if info is None or (info.worker not in (self.worker_id, "?")):
+        with self._store._write() as conn:
+            renewed = conn.execute(
+                "UPDATE leases SET renewed = ? WHERE token = ? AND owner = ?",
+                (time.time(), token, self.worker_id),
+            ).rowcount
+        if not renewed:
             with self._lock:
                 self._held.discard(token)
                 self.lost.add(token)
-            return False
-        payload = self._payload(acquired=info.acquired)
-        tmp = path.with_name(f"{path.name}.renew.{os.getpid()}")
-        try:
-            tmp.write_text(json.dumps(payload))
-            os.replace(tmp, path)
-        except OSError:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            return False
-        return True
+        return bool(renewed)
 
     def renew_all(self) -> int:
         """Refresh every held lease; returns how many renewals succeeded."""
         return sum(1 for token in self.held() if self.renew(token))
 
     def release(self, token: str) -> None:
-        """Drop one held lease (after the point's result is in the store)."""
+        """Drop one held lease (after the point's result is in the store).
+
+        A lease taken over while this worker stalled belongs to the new
+        owner, whose claim this leaves in place.
+        """
         with self._lock:
             if token not in self._held:
                 return
             self._held.discard(token)
-        info = self.read(token)
-        if info is not None and info.worker not in (self.worker_id, "?"):
-            return  # taken over while we worked; the new owner's claim stands
-        with contextlib.suppress(OSError):
-            os.unlink(self._lease_path(token))
+        with self._store._write() as conn:
+            conn.execute(
+                "DELETE FROM leases WHERE token = ? AND owner = ?",
+                (token, self.worker_id),
+            )
 
     def release_all(self) -> None:
         """Drop every held lease."""
         for token in self.held():
             self.release(token)
-
-    def reap(self, token: str) -> None:
-        """Remove a claim file regardless of owner (gc of expired leases)."""
-        with contextlib.suppress(OSError):
-            os.unlink(self._lease_path(token))
 
     @contextlib.contextmanager
     def heartbeat(self, interval: float | None = None) -> Iterator["LeaseManager"]:

@@ -1,15 +1,15 @@
 """Store-aware sweep scheduling: evaluate only the missing grid points.
 
 A parameter sweep is a :class:`~repro.api.scenario.ScenarioSuite` × a set of
-backends.  With a persistent :class:`~repro.api.store.ResultStore` attached
+backends.  With a persistent :class:`~repro.api.store.SqliteResultStore` attached
 to the service, most of a re-run (or a resumed, previously interrupted run)
 is already answered on disk; the :class:`SweepScheduler` makes that explicit:
 
 * :meth:`SweepScheduler.plan` partitions the target grid into memory hits,
   store hits, and missing ``(scenario, backend)`` points — without
   evaluating anything (the store is bulk-probed with
-  :meth:`~repro.api.store.ResultStore.get_many`, one directory listing per
-  shard);
+  :meth:`~repro.api.store.SqliteResultStore.get_many`, one indexed
+  ``SELECT`` per 500 points);
 * :meth:`SweepScheduler.run` executes the plan through
   :meth:`~repro.api.service.PredictionService.evaluate_suite` — cached
   points replay from memory/store, missing points fan out per the service's
@@ -21,7 +21,7 @@ only the remainder: every completed point was persisted when it finished.
 
 :meth:`SweepScheduler.run_cooperative` extends the same resume contract to
 *k concurrent workers* draining one grid against one shared store: each
-worker claims points through the store's lease namespace
+worker claims points through the store's ``leases`` table
 (:mod:`repro.api.store.leases`) before evaluating them, heartbeats its
 claims while it works, and re-plans after each drained batch.  A crashed
 worker's leases expire and its points are re-claimed by the survivors, so
@@ -282,7 +282,7 @@ class SweepScheduler:
 
         ``claim_limit`` caps how many points one round may claim.  Without
         it the first worker to plan claims every unanswered point (claims
-        are cheap file creates, far faster than evaluations), which leaves
+        are cheap row upserts, far faster than evaluations), which leaves
         late-starting peers nothing to do; with ``claim_limit=n`` each
         worker takes at most ``n`` points per round and re-plans, so a
         k-worker fabric load-balances at the cost of one extra plan per

@@ -36,8 +36,7 @@ the faults mechanistically; analytic backends either apply an
 expected-value inflation or decline the point as a structured failure.
 
 ``predict`` / ``compare`` / ``sweep`` / ``figure`` accept ``--store PATH``
-(persist results across runs through a result store; ``--store-format
-json|sqlite`` selects the engine for a new store), ``--execution
+(persist results across runs in a SQLite result store), ``--execution
 {serial,thread,process}`` (suite fan-out strategy), ``--no-batch`` (disable
 one-call ``predict_batch`` dispatch for the batch-capable analytic
 backends), and the fault-tolerance knobs ``--retries N`` (retry transient
@@ -66,7 +65,6 @@ from .analysis import ascii_series_plot, format_series_table
 from .api import (
     EXECUTION_MODES,
     ON_ERROR_MODES,
-    STORE_FORMATS,
     PredictionService,
     Scenario,
     ScenarioSuite,
@@ -218,14 +216,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         help="persistent result-store directory; results are reused across runs",
     )
     parser.add_argument(
-        "--store-format",
-        dest="store_format",
-        default=None,
-        choices=STORE_FORMATS,
-        help="store engine for a NEW --store directory (an existing store "
-        "keeps its engine; default for new stores: json)",
-    )
-    parser.add_argument(
         "--execution",
         default="thread",
         choices=EXECUTION_MODES,
@@ -272,7 +262,6 @@ def _service_from_args(
         backends=backends,
         max_workers=max_workers,
         store=args.store,
-        store_format=args.store_format,
         execution=args.execution,
         batch=not args.no_batch,
         retry=args.retries,
@@ -678,7 +667,7 @@ def _command_dashboard(args: argparse.Namespace) -> int:
 
 
 def _command_store_gc(args: argparse.Namespace) -> int:
-    store = open_store(args.path, format=args.store_format)
+    store = open_store(args.path)
     stats = store.gc(
         ttl=args.ttl, max_records=args.max_records, dry_run=args.dry_run
     )
@@ -695,7 +684,6 @@ def _command_store_gc(args: argparse.Namespace) -> int:
                     "corrupt": stats.corrupt,
                     "remaining": stats.remaining,
                     "leases_removed": stats.leases_removed,
-                    "shards_removed": stats.shards_removed,
                     "reclaimed_bytes": stats.reclaimed_bytes,
                     "dry_run": stats.dry_run,
                 }
@@ -707,7 +695,7 @@ def _command_store_gc(args: argparse.Namespace) -> int:
 
 
 def _command_store_info(args: argparse.Namespace) -> int:
-    store = open_store(args.path, format=args.store_format)
+    store = open_store(args.path)
     stats = store.refresh()
     leases = store.lease_manager(worker_id="info").scan()
     live = sum(1 for info in leases if not info.expired())
@@ -1088,13 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_gc_parser.add_argument("path", help="store directory")
     store_gc_parser.add_argument(
-        "--store-format",
-        dest="store_format",
-        default=None,
-        choices=STORE_FORMATS,
-        help="expected engine (default: detect from the directory layout)",
-    )
-    store_gc_parser.add_argument(
         "--ttl",
         type=float,
         default=None,
@@ -1123,13 +1104,6 @@ def build_parser() -> argparse.ArgumentParser:
         store_subparsers, "info", help="report a store's engine, record counts, and leases"
     )
     store_info_parser.add_argument("path", help="store directory")
-    store_info_parser.add_argument(
-        "--store-format",
-        dest="store_format",
-        default=None,
-        choices=STORE_FORMATS,
-        help="expected engine (default: detect from the directory layout)",
-    )
     store_info_parser.set_defaults(handler=_command_store_info)
 
     # simulate is one seeded raw run (per-job traces), so --repetitions —

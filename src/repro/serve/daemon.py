@@ -376,9 +376,8 @@ class PredictionDaemon:
                 "max_inflight": self.config.max_inflight,
                 "queue_depth": self.config.queue_depth,
             },
-            # Engine-agnostic store surface: null without a store, else the
-            # engine name and path so operators can see what the daemon
-            # persists into (json shards vs one sqlite file).
+            # Store surface: null without a store, else the engine name and
+            # path so operators can see what the daemon persists into.
             "store": (
                 None
                 if self.service.store is None

@@ -23,9 +23,10 @@ importantly, *reproducibly* testable:
   exactly one kill happens per switch, across any number of worker
   processes (fork start method; spawn workers re-import a fresh registry
   and never see runtime wrappers).
-* :class:`FaultyStore` is a :class:`~repro.api.store.ResultStore` whose
-  ``put`` sometimes tears the write: garbage lands at the record path,
-  simulating a crash mid-write that the store's quarantine path must absorb.
+* :class:`FaultyStore` is a :class:`~repro.api.store.SqliteResultStore`
+  whose ``put`` sometimes tears the write: a committed row carries a
+  truncated ``result`` payload, which the store's quarantine path must
+  absorb.
 
 The wrappers swap classes in the backend registry directly (the same idiom
 the test suite's throwaway-backend fixtures use); the context manager
@@ -45,7 +46,7 @@ from pathlib import Path
 
 from ..api.backends import _REGISTRY
 from ..api.scenario import Scenario
-from ..api.store import ResultStore, _canonical_options
+from ..api.store import SqliteResultStore
 from ..exceptions import TransientError, ValidationError
 
 #: Exit code a :class:`KillSwitch` kills the worker process with.
@@ -240,13 +241,13 @@ def inject_backend_faults(
         _REGISTRY[name] = original
 
 
-class FaultyStore(ResultStore):
+class FaultyStore(SqliteResultStore):
     """A result store whose writes are sometimes torn mid-record.
 
-    With probability ``spec.corrupt_rate`` a ``put`` writes truncated JSON
-    straight to the record path (no temp-file dance) and reports success —
-    the moral equivalent of a crash between ``write`` and ``rename``.  The
-    reader-side contract (skip, count, quarantine) is what absorbs it.
+    With probability ``spec.corrupt_rate`` a ``put`` commits a row whose
+    ``result`` payload is truncated JSON and reports success — a payload
+    damaged on its way into the database.  The reader-side contract (skip,
+    count, quarantine) is what absorbs it.
     """
 
     def __init__(self, path: str | os.PathLike, injector: FaultInjector) -> None:
@@ -254,13 +255,9 @@ class FaultyStore(ResultStore):
         self._injector = injector
 
     def put(self, key, backend, result, options=None) -> None:
-        if self._injector.corrupt_write(f"{backend}:{key}"):
-            options_key = _canonical_options(options)
-            path = self._record_path(key, backend, options_key)
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text('{"format": 1, "spec_version"')
-            except OSError:
-                pass
+        if not self._injector.corrupt_write(f"{backend}:{key}"):
+            super().put(key, backend, result, options=options)
             return
-        super().put(key, backend, result, options=options)
+        row = self._encode(key, backend, result, options, time.time())
+        payload = row[7]
+        self._upsert([row[:7] + (payload[: len(payload) // 2],) + row[8:]])

@@ -17,21 +17,28 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.api import (
     PredictionService,
-    ResultStore,
     RetryPolicy,
     Scenario,
     ScenarioSuite,
+    SqliteResultStore,
+    create_backend,
 )
 from repro.api.backends import _REGISTRY
 from repro.api.dashboard import ARTIFACT_PREFIX, run_dashboard
 from repro.api.results import PredictionResult
 from repro.cli import main
 from repro.exceptions import TransientError
+from repro.api.store import QUARANTINE_DIR
 from repro.testing import (
     FaultInjector,
     FaultSpec,
@@ -166,7 +173,7 @@ class TestTransientChaosSweep:
         assert injector.duplicate_evaluations() == 0
         assert stats.evaluations == len(CHAOS_SUITE.scenarios) * len(CHAOS_BACKENDS)
         # One persisted record per point — no duplicate or phantom writes.
-        assert ResultStore(tmp_path / "store").refresh().loaded == stats.evaluations
+        assert SqliteResultStore(tmp_path / "store").refresh().loaded == stats.evaluations
 
     def test_faulted_batch_path_degrades_and_still_matches(self):
         clean = PredictionService(backends=list(CHAOS_BACKENDS)).evaluate_suite(
@@ -209,7 +216,7 @@ class TestCorruptWriteChaos:
         assert first.complete
 
         # A fresh store skips + quarantines the torn records and keeps the rest.
-        healthy = ResultStore(tmp_path / "store")
+        healthy = SqliteResultStore(tmp_path / "store")
         scan = healthy.refresh()
         points = len(CHAOS_SUITE.scenarios)
         assert scan.corrupt == torn
@@ -225,7 +232,98 @@ class TestCorruptWriteChaos:
         stats = resumed.stats()
         assert stats.store_hits == points - torn
         assert stats.evaluations == torn
-        assert ResultStore(tmp_path / "store").refresh().loaded == points
+        assert SqliteResultStore(tmp_path / "store").refresh().loaded == points
+
+
+#: Child program for the SIGKILL-mid-transaction test: it opens the store,
+#: installs a connection-local trigger that signals the parent and hangs once
+#: the batch's second row is inserted, then calls ``put_many`` — so the kill
+#: lands inside the open ``BEGIN IMMEDIATE`` transaction.
+_PUT_MANY_VICTIM = """\
+import sys
+import time
+from pathlib import Path
+
+store_path, suite_path, signal_path = sys.argv[1:4]
+
+from repro.api import ScenarioSuite, SqliteResultStore, create_backend
+
+suite = ScenarioSuite.from_json(Path(suite_path).read_text())
+aria = create_backend("aria")
+store = SqliteResultStore(store_path)
+inserted = []
+
+
+def hang(token):
+    inserted.append(token)
+    if len(inserted) == 2:
+        Path(signal_path).write_text(token)
+        time.sleep(600.0)  # SIGKILLed here, mid-transaction
+    return 0
+
+
+with store._lock:
+    conn = store._connect()
+    conn.create_function("hang", 1, hang)
+    conn.execute(
+        "CREATE TEMP TRIGGER hang_on_insert AFTER INSERT ON main.records "
+        "BEGIN SELECT hang(NEW.token); END"
+    )
+store.put_many([(s.cache_key(), "aria", aria.predict(s), None) for s in suite.scenarios])
+"""
+
+
+class TestKilledTransaction:
+    def test_sigkill_inside_put_many_leaves_no_partial_batch(self, tmp_path):
+        """A writer killed mid-transaction leaves no row of its batch.
+
+        The surviving store is exactly the committed prefix: no torn row to
+        quarantine, and a resumed sweep re-evaluates exactly the lost batch.
+        """
+        store_path = tmp_path / "store"
+        committed, batch = CHAOS_SUITE.scenarios[:4], CHAOS_SUITE.scenarios[4:8]
+        service = PredictionService(backends=["aria"], store=store_path)
+        service.evaluate_suite(ScenarioSuite("committed", committed), ["aria"])
+        suite_path = tmp_path / "batch.json"
+        suite_path.write_text(ScenarioSuite("batch", batch).to_json())
+        script = tmp_path / "victim.py"
+        script.write_text(_PUT_MANY_VICTIM)
+        signal_path = tmp_path / "in-transaction"
+        repo_root = Path(__file__).resolve().parents[1]
+        victim = subprocess.Popen(
+            [sys.executable, str(script), str(store_path), str(suite_path), str(signal_path)],
+            env={**os.environ, "PYTHONPATH": str(repo_root / "src")},
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while not signal_path.exists():
+                assert victim.poll() is None, victim.stderr.read()
+                assert time.monotonic() < deadline, "victim never entered put_many"
+                time.sleep(0.02)
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.wait(timeout=30.0)
+            assert victim.returncode == -signal.SIGKILL
+        finally:
+            if victim.poll() is None:
+                victim.kill()
+                victim.wait(timeout=30.0)
+
+        reopened = SqliteResultStore(store_path)
+        scan = reopened.refresh()
+        assert (scan.loaded, scan.corrupt, scan.quarantined) == (len(committed), 0, 0)
+        assert not (store_path / QUARANTINE_DIR).exists()
+        assert reopened.get_many([(s.cache_key(), "aria", None) for s in batch]) == {}
+
+        whole = ScenarioSuite("whole", committed + batch)
+        resumed = PredictionService(backends=["aria"], store=reopened)
+        result = resumed.evaluate_suite(whole, ["aria"])
+        stats = resumed.stats()
+        assert stats.store_hits == len(committed)
+        assert stats.evaluations == len(batch)
+        aria = create_backend("aria")
+        assert result.series("aria") == [aria.predict(s).total_seconds for s in whole.scenarios]
 
 
 def _fork_available() -> bool:
@@ -283,7 +381,7 @@ class TestWorkerKillRecovery:
         assert stats.pool_fallbacks == 0  # ...and stopped at the rebuild rung
         assert stats.failures == 0
         assert stats.evaluations == 4
-        assert ResultStore(tmp_path / "store").refresh().loaded == 4
+        assert SqliteResultStore(tmp_path / "store").refresh().loaded == 4
 
 
 class TestDashboardDegradation:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -30,11 +31,11 @@ from repro.api import (
     SweepScheduler,
 )
 from repro.api.backends import _REGISTRY
-from repro.api.store import LEASES_DIR, open_store
-from repro.api.store.leases import LEASE_SUFFIX, LeaseManager
+from repro.api.store import DB_FILENAME, open_store
+from repro.api.store.leases import LeaseManager
 from repro.cli import main
 from repro.exceptions import ValidationError
-from repro.testing.faults import FaultInjector, FaultSpec, inject_backend_faults
+from repro.testing.faults import FaultSpec, inject_backend_faults
 from repro.units import megabytes
 
 #: Small, fast scenario the fabric tests sweep over.
@@ -61,10 +62,20 @@ def _service(store_path) -> PredictionService:
     return PredictionService(backends=[BACKEND], store=store_path)
 
 
+def _manager(store_path, worker_id: str, ttl: float) -> LeaseManager:
+    """A worker's lease manager over its own store object (own connection)."""
+    return open_store(store_path).lease_manager(worker_id, ttl=ttl)
+
+
+def _claims(store_path) -> list:
+    """Every claim row in the store's ``leases`` table."""
+    return open_store(store_path).lease_manager("observer").scan()
+
+
 class TestLeaseManager:
     def test_claim_is_exclusive(self, tmp_path):
-        first = LeaseManager(tmp_path, "w1", ttl=60.0)
-        second = LeaseManager(tmp_path, "w2", ttl=60.0)
+        first = _manager(tmp_path, "w1", ttl=60.0)
+        second = _manager(tmp_path, "w2", ttl=60.0)
         assert first.try_claim(TOKEN)
         assert not second.try_claim(TOKEN)
         assert first.held() == [TOKEN]
@@ -74,14 +85,14 @@ class TestLeaseManager:
         assert not info.expired()
 
     def test_reclaiming_an_owned_lease_is_idempotent(self, tmp_path):
-        manager = LeaseManager(tmp_path, "w1", ttl=60.0)
+        manager = _manager(tmp_path, "w1", ttl=60.0)
         assert manager.try_claim(TOKEN)
         assert manager.try_claim(TOKEN)
         assert manager.held() == [TOKEN]
 
     def test_release_frees_the_point(self, tmp_path):
-        first = LeaseManager(tmp_path, "w1", ttl=60.0)
-        second = LeaseManager(tmp_path, "w2", ttl=60.0)
+        first = _manager(tmp_path, "w1", ttl=60.0)
+        second = _manager(tmp_path, "w2", ttl=60.0)
         assert first.try_claim(TOKEN)
         first.release(TOKEN)
         assert first.held() == []
@@ -89,23 +100,21 @@ class TestLeaseManager:
         assert second.try_claim(TOKEN)
 
     def test_expired_lease_is_taken_over(self, tmp_path):
-        crashed = LeaseManager(tmp_path, "crashed", ttl=0.05)
+        crashed = _manager(tmp_path, "crashed", ttl=0.05)
         assert crashed.try_claim(TOKEN)
         time.sleep(0.12)  # let the claim lapse, as a dead worker's would
-        survivor = LeaseManager(tmp_path, "survivor", ttl=60.0)
+        survivor = _manager(tmp_path, "survivor", ttl=60.0)
         assert survivor.try_claim(TOKEN)
-        assert survivor.read(TOKEN).worker == "survivor"
-        # The takeover's tombstone was cleaned up: one claim file remains.
-        lease_files = [
-            name for name in os.listdir(tmp_path) if name.endswith(LEASE_SUFFIX)
-        ]
-        assert lease_files == [f"{TOKEN}{LEASE_SUFFIX}"]
+        # The takeover rewrote the one claim row in place.
+        [claim] = _claims(tmp_path)
+        assert (claim.token, claim.worker, claim.ttl) == (TOKEN, "survivor", 60.0)
+        assert not claim.expired()
 
     def test_loser_learns_of_the_takeover_on_renew(self, tmp_path):
-        loser = LeaseManager(tmp_path, "loser", ttl=0.05)
+        loser = _manager(tmp_path, "loser", ttl=0.05)
         assert loser.try_claim(TOKEN)
         time.sleep(0.12)
-        winner = LeaseManager(tmp_path, "winner", ttl=60.0)
+        winner = _manager(tmp_path, "winner", ttl=60.0)
         assert winner.try_claim(TOKEN)
         assert not loser.renew(TOKEN)
         assert TOKEN in loser.lost
@@ -115,14 +124,18 @@ class TestLeaseManager:
         assert winner.read(TOKEN).worker == "winner"
 
     def test_live_lease_cannot_be_stolen(self, tmp_path):
-        owner = LeaseManager(tmp_path, "owner", ttl=60.0)
+        owner = _manager(tmp_path, "owner", ttl=60.0)
         assert owner.try_claim(TOKEN)
-        challenger = LeaseManager(tmp_path, "challenger", ttl=60.0)
+        before = owner.read(TOKEN)
+        challenger = _manager(tmp_path, "challenger", ttl=60.0)
         assert not challenger.try_claim(TOKEN)
-        assert owner.read(TOKEN).worker == "owner"
+        assert challenger.held() == []
+        # The losing upsert left the live row untouched, stamps included.
+        assert owner.read(TOKEN) == before
+        assert owner.renew(TOKEN)
 
     def test_renew_advances_the_expiry(self, tmp_path):
-        manager = LeaseManager(tmp_path, "w1", ttl=60.0)
+        manager = _manager(tmp_path, "w1", ttl=60.0)
         assert manager.try_claim(TOKEN)
         before = manager.read(TOKEN)
         time.sleep(0.02)
@@ -132,24 +145,50 @@ class TestLeaseManager:
         assert after.acquired == pytest.approx(before.acquired)
         assert after.worker == "w1"
 
-    def test_unparseable_claim_counts_as_live_until_its_mtime_expires(self, tmp_path):
-        """Torn claim files block claiming (safe) but still age out (live)."""
-        manager = LeaseManager(tmp_path, "w1", ttl=1000.0)
-        path = tmp_path / f"{TOKEN}{LEASE_SUFFIX}"
-        tmp_path.mkdir(parents=True, exist_ok=True)
-        path.write_text("{torn bytes")
-        info = manager.read(TOKEN)
-        assert info.worker == "?"
-        assert not manager.try_claim(TOKEN)  # treated as a live peer's claim
-        # Once the file's mtime is older than the TTL, it is dead and stealable.
-        past = time.time() - 2000.0
-        os.utime(path, (past, past))
-        assert manager.try_claim(TOKEN)
-        assert manager.read(TOKEN).worker == "w1"
+    def test_racing_takeovers_of_an_expired_claim_have_one_winner(self, tmp_path):
+        """Challengers on separate connections race; exactly one takes over."""
+        crashed = _manager(tmp_path, "crashed", ttl=0.05)
+        assert crashed.try_claim(TOKEN)
+        time.sleep(0.12)  # the claim lapses, as a dead worker's would
+        challengers = [_manager(tmp_path, f"c{i}", ttl=60.0) for i in range(4)]
+        barrier = threading.Barrier(len(challengers), timeout=30.0)
+        wins: dict[str, bool] = {}
+
+        def challenge(manager: LeaseManager) -> None:
+            barrier.wait()
+            wins[manager.worker_id] = manager.try_claim(TOKEN)
+
+        threads = [threading.Thread(target=challenge, args=(m,)) for m in challengers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        winners = [worker for worker, won in wins.items() if won]
+        assert len(wins) == len(challengers)
+        assert len(winners) == 1
+        [claim] = _claims(tmp_path)
+        assert claim.worker == winners[0]
+
+    def test_gc_reaps_expired_rows_and_keeps_live_ones(self, tmp_path):
+        dead = _manager(tmp_path, "dead", ttl=0.05)
+        assert dead.try_claim("a" * 64)
+        assert dead.try_claim("b" * 64)
+        live = _manager(tmp_path, "live", ttl=3600.0)
+        assert live.try_claim("c" * 64)
+        time.sleep(0.12)
+        store = open_store(tmp_path)
+        assert store.gc(dry_run=True).leases_removed == 2
+        assert len(_claims(tmp_path)) == 3  # a dry run only counts
+        assert store.gc().leases_removed == 2
+        assert [(c.token, c.worker) for c in _claims(tmp_path)] == [("c" * 64, "live")]
+        # The reaped points are free again; the live one is still held.
+        assert _manager(tmp_path, "next", ttl=60.0).try_claim("a" * 64)
+        assert not _manager(tmp_path, "next", ttl=60.0).try_claim("c" * 64)
 
     def test_heartbeat_keeps_leases_alive(self, tmp_path):
-        owner = LeaseManager(tmp_path, "owner", ttl=1.0)
-        challenger = LeaseManager(tmp_path, "challenger", ttl=1.0)
+        owner = _manager(tmp_path, "owner", ttl=1.0)
+        challenger = _manager(tmp_path, "challenger", ttl=1.0)
         assert owner.try_claim(TOKEN)
         with owner.heartbeat(interval=0.1):
             time.sleep(1.5)  # well past the TTL: only the heartbeat saves it
@@ -159,8 +198,8 @@ class TestLeaseManager:
         assert challenger.try_claim(TOKEN)
 
     def test_scan_reports_every_claim(self, tmp_path):
-        first = LeaseManager(tmp_path, "w1", ttl=60.0)
-        second = LeaseManager(tmp_path, "w2", ttl=60.0)
+        first = _manager(tmp_path, "w1", ttl=60.0)
+        second = _manager(tmp_path, "w2", ttl=60.0)
         assert first.try_claim("a" * 8)
         assert second.try_claim("b" * 8)
         infos = first.scan()
@@ -173,19 +212,16 @@ class TestLeaseManager:
         "kwargs",
         [
             {"worker_id": ""},
-            {"worker_id": "a/b"},
             {"worker_id": "ok", "ttl": 0.0},
             {"worker_id": "ok", "ttl": -1.0},
         ],
     )
     def test_constructor_validation(self, tmp_path, kwargs):
         with pytest.raises(ValidationError):
-            LeaseManager(tmp_path, **kwargs)
+            open_store(tmp_path).lease_manager(**kwargs)
 
-    def test_token_and_heartbeat_validation(self, tmp_path):
-        manager = LeaseManager(tmp_path, "w1", ttl=60.0)
-        with pytest.raises(ValidationError):
-            manager.try_claim("bad/token")
+    def test_heartbeat_validation(self, tmp_path):
+        manager = _manager(tmp_path, "w1", ttl=60.0)
         with pytest.raises(ValidationError):
             with manager.heartbeat(interval=0.0):
                 pass
@@ -283,7 +319,7 @@ class TestRunCooperative:
         for outcome in outcomes.values():
             assert all(value > 0 for value in outcome.result.series(BACKEND))
             assert outcome.failed == 0
-        assert not list((store_path / LEASES_DIR).glob(f"*{LEASE_SUFFIX}"))
+        assert _claims(store_path) == []
 
     def test_claim_limit_caps_each_round(self, tmp_path):
         suite = _suite([2, 3, 4])
@@ -335,7 +371,7 @@ class TestRunCooperative:
         assert outcome.claimed == 0
         assert injector.duplicate_evaluations() == 0
         # The yielded leases were released, not stranded.
-        assert not list((store_path / LEASES_DIR).glob(f"*{LEASE_SUFFIX}"))
+        assert _claims(store_path) == []
         assert all(value > 0 for value in outcome.result.series(BACKEND))
 
     def test_terminally_failing_points_do_not_livelock(self, tmp_path):
@@ -401,7 +437,7 @@ class TestFabricChaos:
         assert sum(outcome.evaluated for outcome in outcomes.values()) == 4
         assert injector.duplicate_evaluations() == 0
         # ...and no claim (including the stolen ones) outlived the sweep.
-        assert not list((store_path / LEASES_DIR).glob(f"*{LEASE_SUFFIX}"))
+        assert _claims(store_path) == []
         # The records themselves converged: one usable record per point.
         assert open_store(store_path).refresh().loaded == 4
 
@@ -458,7 +494,7 @@ class TestTwoProcessTakeover:
         whole grid, starts evaluating, and is SIGKILLed while holding every
         lease — no cleanup, no release, exactly what an OOM kill leaves on
         disk.  The survivor must wait out one lease TTL, take the dead
-        claims over through the tombstone-rename path, and finish the grid
+        claim rows over through the conditional upsert, and finish the grid
         with zero duplicate evaluations and zero duplicate records.
         """
         store_path = tmp_path / "store"
@@ -504,7 +540,7 @@ class TestTwoProcessTakeover:
             if victim.poll() is None:
                 victim.kill()
                 victim.wait(timeout=30.0)
-        # The dead worker's claim files are still on disk — takeover territory.
+        # The dead worker's claim rows are still in the table — takeover territory.
         assert observer.scan()
         survivor = spawn("survivor")
         stdout, stderr = survivor.communicate(timeout=120.0)
@@ -526,7 +562,7 @@ class TestTwoProcessTakeover:
             assert open_store(store_path).refresh().loaded == 3
         finally:
             _REGISTRY.pop("two-proc", None)
-        assert not list((store_path / LEASES_DIR).glob(f"*{LEASE_SUFFIX}"))
+        assert _claims(store_path) == []
 
 
 class TestFabricCli:
@@ -565,24 +601,20 @@ class TestFabricCli:
         ) == 2
         assert "--worker-id requires --store" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("store_format", ["json", "sqlite"])
-    def test_store_info_and_gc_via_cli(self, tmp_path, capsys, store_format):
+    def test_store_info_and_gc_via_cli(self, tmp_path, capsys):
         suite_path = self._write_suite(tmp_path)
         store_path = str(tmp_path / "store")
         assert main(
-            [
-                "sweep", "--suite", suite_path, "--backend", BACKEND,
-                "--store", store_path, "--store-format", store_format,
-            ]
+            ["sweep", "--suite", suite_path, "--backend", BACKEND, "--store", store_path]
         ) == 0
         capsys.readouterr()
         assert main(["store", "info", store_path]) == 0
         info = capsys.readouterr().out
-        assert f"format:  {store_format}" in info
+        assert "format:  sqlite" in info
         assert "records: 2 usable, 0 stale, 0 corrupt" in info
         assert main(["store", "gc", store_path, "--ttl", "0", "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["format"] == store_format
+        assert stats["format"] == "sqlite"
         assert stats["expired"] == 2
         assert stats["remaining"] == 0
         assert not stats["dry_run"]
@@ -600,3 +632,28 @@ class TestFabricCli:
         assert "would purge 2" in capsys.readouterr().out
         assert main(["store", "info", store_path]) == 0
         assert "records: 2 usable" in capsys.readouterr().out
+
+    def test_store_info_lease_counts_come_from_the_table(self, tmp_path, capsys):
+        store_path = tmp_path / "store"
+        open_store(store_path).lease_manager("w1").try_claim(TOKEN)
+        # Rows written by any client count: one live, two long expired.
+        now = time.time()
+        conn = sqlite3.connect(store_path / DB_FILENAME)
+        try:
+            with conn:
+                conn.executemany(
+                    "INSERT INTO leases (token, owner, acquired, renewed, ttl) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    [
+                        ("e1", "gone", now - 100.0, now - 100.0, 1.0),
+                        ("e2", "gone", now - 100.0, now - 100.0, 1.0),
+                    ],
+                )
+        finally:
+            conn.close()
+        assert main(["store", "info", str(store_path)]) == 0
+        assert "leases:  1 live, 2 expired" in capsys.readouterr().out
+        assert main(["store", "gc", str(store_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["leases_removed"] == 2
+        assert main(["store", "info", str(store_path)]) == 0
+        assert "leases:  1 live, 0 expired" in capsys.readouterr().out

@@ -38,6 +38,7 @@ from repro.api import (
     Scenario,
     ScenarioSuite,
     ServiceStats,
+    open_store,
 )
 from repro.api.backends import _REGISTRY
 from repro.api.resilience import BREAKER_OPEN, BreakerSnapshot
@@ -656,7 +657,7 @@ class TestDaemonEndpoints:
         assert process.returncode == 0
         assert "drained:" in stderr
         # The store was flushed: the predict's record is on disk.
-        assert any(store.rglob("*.json"))
+        assert open_store(store).get(SMALL.cache_key(), "mva-forkjoin") is not None
 
 
 class TestLoadgen:

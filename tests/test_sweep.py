@@ -3,24 +3,27 @@
 Pins the scheduler's contract: the plan partitions a target grid into memory
 hits / store hits / missing points without evaluating anything, a run
 executes exactly the missing remainder (so interrupted sweeps resume), and
-the bulk store probe behind the planner (:meth:`ResultStore.get_many`) finds
-every stored record with one directory listing per shard.
+the bulk store probe behind the planner (:meth:`SqliteResultStore.get_many`)
+finds every stored record with one indexed ``SELECT`` per 500 points.
 """
 
 from __future__ import annotations
+
+import sqlite3
 
 import pytest
 
 from repro.api import (
     PredictionService,
-    ResultStore,
     Scenario,
     ScenarioSuite,
+    SqliteResultStore,
     SweepScheduler,
     create_backend,
 )
 from repro.api.backends import _REGISTRY
 from repro.api.results import PredictionResult
+from repro.api.store import DB_FILENAME
 from repro.units import megabytes
 
 #: Small, fast scenario shared by the scheduler tests.
@@ -210,7 +213,7 @@ class TestFlushOnFailure:
         with pytest.raises(ValueError):
             SweepScheduler(service).run(SUITE, [name])
         # The three healthy points landed on disk before the raise.
-        assert ResultStore(store_path).refresh().loaded == 3
+        assert SqliteResultStore(store_path).refresh().loaded == 3
         assert service.stats().evaluations == 3
         assert service.stats().failures == 1
 
@@ -240,7 +243,7 @@ class TestFlushOnFailure:
 
 class TestGetMany:
     def _seed(self, tmp_path, scenarios, backend="aria"):
-        store = ResultStore(tmp_path / "store")
+        store = SqliteResultStore(tmp_path / "store")
         engine = create_backend(backend)
         for scenario in scenarios:
             store.put(scenario.cache_key(), backend, engine.predict(scenario))
@@ -248,7 +251,7 @@ class TestGetMany:
 
     def test_bulk_lookup_finds_stored_records_after_restart(self, tmp_path):
         self._seed(tmp_path, SUITE.scenarios)
-        reopened = ResultStore(tmp_path / "store")
+        reopened = SqliteResultStore(tmp_path / "store")
         points = [
             (scenario.cache_key(), "aria", None) for scenario in SUITE.scenarios
         ]
@@ -259,7 +262,7 @@ class TestGetMany:
 
     def test_bulk_lookup_skips_missing_points(self, tmp_path):
         self._seed(tmp_path, SUITE.scenarios[:2])
-        reopened = ResultStore(tmp_path / "store")
+        reopened = SqliteResultStore(tmp_path / "store")
         points = [
             (scenario.cache_key(), "aria", None) for scenario in SUITE.scenarios
         ] + [(SMALL.cache_key(), "herodotou", None)]
@@ -268,45 +271,45 @@ class TestGetMany:
             (scenario.cache_key(), "aria") for scenario in SUITE.scenarios[:2]
         }
 
-    def test_bulk_lookup_lists_each_shard_once(self, tmp_path, monkeypatch):
-        import os as os_module
-
+    def test_bulk_lookup_issues_one_select_per_chunk(self, tmp_path):
         self._seed(tmp_path, SUITE.scenarios)
-        reopened = ResultStore(tmp_path / "store")
-        listed: list[str] = []
-        original_listdir = os_module.listdir
-
-        def counting_listdir(path):
-            listed.append(str(path))
-            return original_listdir(path)
-
-        import repro.api.store.json_store as json_store_module
-
-        monkeypatch.setattr(json_store_module.os, "listdir", counting_listdir)
-        # Many more points than shards: listdir calls are bounded by the
-        # number of distinct shards, not by the number of probed points.
+        reopened = SqliteResultStore(tmp_path / "store")
+        with reopened._lock:
+            conn = reopened._connect()
+        statements: list[str] = []
+        conn.set_trace_callback(statements.append)
+        # Many more points than one statement binds: SELECTs are bounded by
+        # ceil(points / 500), not by the number of probed points.
         points = [
             (scenario.cache_key(), backend, None)
             for scenario in SUITE.scenarios
             for backend in ("aria", "herodotou", "vianna")
-        ]
+        ] + [(f"absent-{i}", "aria", None) for i in range(600)]
         found = reopened.get_many(points)
         assert len(found) == 4
-        assert len(listed) == len(set(listed))
+        assert [sql.split()[0] for sql in statements] == ["SELECT", "SELECT"]
+        # A warm repeat of the hits is answered from memory: no statement.
+        statements.clear()
+        hits = [(scenario.cache_key(), "aria", None) for scenario in SUITE.scenarios]
+        assert len(reopened.get_many(hits)) == 4
+        assert statements == []
 
     def test_bulk_lookup_tolerates_corrupt_records(self, tmp_path):
         store = self._seed(tmp_path, SUITE.scenarios[:1])
-        record_file = next((store.path / "records").glob("??/*.json"))
-        record_file.write_text("{ not json")
-        reopened = ResultStore(tmp_path / "store")
+        store.close()
+        conn = sqlite3.connect(store.path / DB_FILENAME)
+        with conn:
+            conn.execute("UPDATE records SET result = '{ not json'")
+        conn.close()
+        reopened = SqliteResultStore(tmp_path / "store")
         found = reopened.get_many([(SUITE.scenarios[0].cache_key(), "aria", None)])
         assert found == {}
 
     def test_bulk_lookup_respects_backend_options(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = SqliteResultStore(tmp_path / "store")
         result = create_backend("vianna").predict(SMALL)
         store.put(SMALL.cache_key(), "vianna", result, options={"map_slots_per_node": 4})
-        reopened = ResultStore(tmp_path / "store")
+        reopened = SqliteResultStore(tmp_path / "store")
         assert reopened.get_many([(SMALL.cache_key(), "vianna", None)]) == {}
         found = reopened.get_many(
             [(SMALL.cache_key(), "vianna", {"map_slots_per_node": 4})]
