@@ -27,7 +27,10 @@ workers sharing one store path share one claim namespace too.
 WAL mode plus a busy timeout makes concurrent cross-process writers safe;
 every write is one ``BEGIN IMMEDIATE`` transaction.  Within a process a
 single connection (``check_same_thread=False``) is shared, with every
-database operation serialised under the store lock.
+database operation serialised under the store lock.  Lock contention is
+never taken for damage: an operation that cannot get a lock within
+``BUSY_TIMEOUT`` raises :class:`~repro.exceptions.StoreError` and leaves
+the database where it is.
 """
 
 from __future__ import annotations
@@ -109,6 +112,19 @@ _EXPIRED_LEASES = "FROM leases WHERE renewed + ttl < ?"
 
 #: Bound parameters per ``IN (...)`` statement.
 _CHUNK = 500
+
+#: Seconds an operation waits out another connection's lock before failing.
+BUSY_TIMEOUT = 30.0
+
+
+def _contended(exc: sqlite3.Error) -> bool:
+    """Whether ``exc`` is lock contention (busy/locked) rather than damage.
+
+    Contention is transient and says nothing about the file, so it must
+    never quarantine a database that peers are using.
+    """
+    code = getattr(exc, "sqlite_errorcode", None)
+    return code is not None and code & 0xFF in (sqlite3.SQLITE_BUSY, sqlite3.SQLITE_LOCKED)
 
 
 def _canonical_options(options: "dict | None") -> str:
@@ -252,6 +268,8 @@ class SqliteResultStore:
         try:
             self._conn = self._open_db()
         except sqlite3.Error as exc:
+            if _contended(exc):
+                raise self._locked(exc) from exc
             # File-level corruption: quarantine the damaged database and
             # start fresh.
             self._quarantine_db(str(exc))
@@ -264,19 +282,30 @@ class SqliteResultStore:
         return self._conn
 
     def _open_db(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(
-            self._db_path, timeout=30.0, check_same_thread=False
-        )
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=30000")
-            conn.executescript(_SCHEMA)
-            conn.commit()
-        except sqlite3.Error:
-            conn.close()
-            raise
-        return conn
+        """Connect and set the database up, retrying lock contention.
+
+        Connections opening one fresh database race to switch it to WAL
+        and create the schema, and SQLite fails some of those races at
+        once with ``SQLITE_BUSY`` (deadlock avoidance) instead of waiting
+        out the busy timeout; such a loser retries until ``BUSY_TIMEOUT``.
+        """
+        deadline = time.monotonic() + BUSY_TIMEOUT
+        while True:
+            conn = sqlite3.connect(self._db_path, timeout=BUSY_TIMEOUT, check_same_thread=False)
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.executescript(_SCHEMA)
+                conn.commit()
+                return conn
+            except sqlite3.Error as exc:
+                conn.close()
+                if not _contended(exc) or time.monotonic() >= deadline:
+                    raise
+            time.sleep(0.01)
+
+    def _locked(self, exc: sqlite3.Error) -> StoreError:
+        return StoreError(f"store database {str(self._db_path)!r} is locked: {exc}")
 
     def _quarantine_db(self, detail: str) -> None:
         self._conn = None
@@ -526,6 +555,8 @@ class SqliteResultStore:
             try:
                 return self._connect().execute(sql, params).fetchall()
             except sqlite3.DatabaseError as exc:
+                if _contended(exc):
+                    raise self._locked(exc) from exc
                 self._quarantine_db(str(exc))
                 return self._connect().execute(sql, params).fetchall()
 

@@ -170,6 +170,40 @@ class TestLeaseManager:
         [claim] = _claims(tmp_path)
         assert claim.worker == winners[0]
 
+    @pytest.mark.parametrize("challengers", [2, 4, 8])
+    def test_racing_first_claims_on_a_fresh_store_have_one_winner(self, tmp_path, challengers):
+        """Workers whose first act opens a new store race for one point.
+
+        Their opens race to set the database up too; losing that race is
+        lock contention, which must neither fail a worker nor quarantine
+        the database out from under the winner's claim.
+        """
+        for round_ in range(10):
+            store_path = tmp_path / f"round-{round_}"
+            managers = [_manager(store_path, f"c{i}", ttl=60.0) for i in range(challengers)]
+            barrier = threading.Barrier(challengers, timeout=30.0)
+            wins: dict[str, bool] = {}
+            errors: list[BaseException] = []
+
+            def challenge(manager: LeaseManager) -> None:
+                try:
+                    barrier.wait()
+                    wins[manager.worker_id] = manager.try_claim(TOKEN)
+                except BaseException as exc:  # noqa: BLE001 — surfaced via the list
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=challenge, args=(m,)) for m in managers]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            assert not errors
+            winners = [worker for worker, won in wins.items() if won]
+            assert len(winners) == 1
+            assert [claim.worker for claim in _claims(store_path)] == winners
+            assert not (store_path / ".quarantine").exists()
+
     def test_gc_reaps_expired_rows_and_keeps_live_ones(self, tmp_path):
         dead = _manager(tmp_path, "dead", ttl=0.05)
         assert dead.try_claim("a" * 64)

@@ -26,12 +26,14 @@ from repro.api import (
     create_backend,
 )
 from repro.api.backends import _REGISTRY
+from repro.api.results import PredictionResult
 from repro.api.store import (
     DB_FILENAME,
     STORE_FORMAT_VERSION,
     _canonical_options,
     open_store,
     point_token,
+    sqlite_store,
 )
 from repro.cli import main
 from repro.exceptions import StoreError, ValidationError
@@ -68,7 +70,6 @@ def temporary_backend():
 
 def _counting_backend_class():
     """A stub backend whose predictions are cheap and counted."""
-    from repro.api.results import PredictionResult
 
     class CountingBackend:
         calls = 0
@@ -465,6 +466,217 @@ class TestQuarantine:
         assert scan.corrupt == 1
         assert scan.quarantined == 0
         assert scan.loaded == 0
+
+
+def _lock_exclusively(store_path) -> sqlite3.Connection:
+    """A raw connection holding the database's exclusive lock until closed.
+
+    In WAL mode every open connection holds a shared lock, so the store
+    objects on ``store_path`` must be closed before this can succeed.
+    """
+    conn = sqlite3.connect(store_path / DB_FILENAME, isolation_level=None)
+    conn.execute("PRAGMA locking_mode=EXCLUSIVE")
+    conn.execute("BEGIN EXCLUSIVE")
+    return conn
+
+
+def _hold_write_lock(store_path) -> sqlite3.Connection:
+    """A raw connection holding the write lock (``BEGIN IMMEDIATE``) until closed."""
+    conn = sqlite3.connect(store_path / DB_FILENAME, isolation_level=None)
+    conn.execute("BEGIN IMMEDIATE")
+    return conn
+
+
+#: One store operation per database access path: reads, writes, claims.
+_STORE_OPS = {
+    "get": lambda store, result: store.get(SMALL.with_updates(num_nodes=9).cache_key(), "aria"),
+    "get_many": lambda store, result: store.get_many(
+        [(SMALL.with_updates(num_nodes=9).cache_key(), "aria", None)]
+    ),
+    "refresh": lambda store, result: store.refresh(),
+    "scan": lambda store, result: store.lease_manager("w1").scan(),
+    "put": lambda store, result: store.put(SMALL.cache_key(), "aria", result),
+    "put_many": lambda store, result: store.put_many(
+        [(SMALL.with_updates(num_nodes=3).cache_key(), "aria", result, None)]
+    ),
+    "gc": lambda store, result: store.gc(),
+    "claim": lambda store, result: store.lease_manager("w1").try_claim("ab" * 32),
+}
+_READS = ("get", "get_many", "refresh", "scan")
+_WRITES = ("put", "put_many", "gc", "claim")
+
+
+class TestLockContention:
+    """A busy or locked database is contention, never damage.
+
+    Lock errors wait out ``BUSY_TIMEOUT`` and then raise ``StoreError``;
+    they never quarantine a database that peers are still using (doing so
+    moved a live database aside and lost every worker's claims).
+    """
+
+    @pytest.fixture(autouse=True)
+    def short_busy_timeout(self, monkeypatch):
+        monkeypatch.setattr(sqlite_store, "BUSY_TIMEOUT", 0.1)
+
+    def _seeded(self, store_path) -> PredictionResult:
+        result = create_backend("aria").predict(SMALL)
+        store = open_store(store_path)
+        store.put(SMALL.cache_key(), "aria", result)
+        store.close()
+        return result
+
+    @pytest.mark.parametrize(
+        ("code", "contended"),
+        [
+            ("SQLITE_BUSY", True),
+            ("SQLITE_BUSY_RECOVERY", True),
+            ("SQLITE_BUSY_SNAPSHOT", True),
+            ("SQLITE_BUSY_TIMEOUT", True),
+            ("SQLITE_LOCKED", True),
+            ("SQLITE_LOCKED_SHAREDCACHE", True),
+            ("SQLITE_CORRUPT", False),
+            ("SQLITE_NOTADB", False),
+            ("SQLITE_IOERR", False),
+            ("SQLITE_CANTOPEN", False),
+        ],
+    )
+    def test_only_lock_codes_count_as_contention(self, code, contended):
+        exc = sqlite3.OperationalError("synthetic")
+        exc.sqlite_errorcode = getattr(sqlite3, code)
+        assert sqlite_store._contended(exc) is contended
+
+    def test_errors_without_a_code_are_not_contention(self):
+        assert not sqlite_store._contended(sqlite3.Error("no code attached"))
+
+    def test_real_lock_and_damage_errors_are_told_apart(self, tmp_path):
+        self._seeded(tmp_path)
+        holder = _lock_exclusively(tmp_path)
+        try:
+            peer = sqlite3.connect(tmp_path / DB_FILENAME, timeout=0.0)
+            with pytest.raises(sqlite3.OperationalError) as locked:
+                peer.execute("SELECT count(*) FROM records").fetchall()
+            peer.close()
+        finally:
+            holder.close()
+        assert sqlite_store._contended(locked.value)
+        garbage = tmp_path / "garbage.sqlite3"
+        garbage.write_bytes(b"this is not a database at all" * 100)
+        conn = sqlite3.connect(garbage)
+        with pytest.raises(sqlite3.DatabaseError) as damaged:
+            conn.execute("PRAGMA journal_mode=WAL")
+        conn.close()
+        assert not sqlite_store._contended(damaged.value)
+
+    @pytest.mark.parametrize("op", sorted(_STORE_OPS))
+    def test_locked_database_is_never_quarantined_on_open(self, tmp_path, op):
+        """A fresh store object meets a database a peer holds exclusively."""
+        result = self._seeded(tmp_path)
+        store = open_store(tmp_path)
+        holder = _lock_exclusively(tmp_path)
+        try:
+            with pytest.raises(StoreError, match="locked"):
+                _STORE_OPS[op](store, result)
+        finally:
+            holder.close()
+        assert not (tmp_path / QUARANTINE_DIR).exists()
+        # Once the peer lets go, the same object opens the original database.
+        assert store.get(SMALL.cache_key(), "aria") == result
+        _STORE_OPS[op](store, result)
+        assert store.refresh().corrupt == 0
+
+    @pytest.mark.parametrize("op", _WRITES)
+    def test_writes_wait_out_a_peer_writer_then_fail(self, tmp_path, op):
+        result = self._seeded(tmp_path)
+        store = open_store(tmp_path)
+        assert store.get(SMALL.cache_key(), "aria") == result  # connected
+        holder = _hold_write_lock(tmp_path)
+        try:
+            started = time.monotonic()
+            with pytest.raises(StoreError):
+                _STORE_OPS[op](store, result)
+            assert time.monotonic() - started >= sqlite_store.BUSY_TIMEOUT * 0.9
+        finally:
+            holder.close()
+        assert not (tmp_path / QUARANTINE_DIR).exists()
+        _STORE_OPS[op](store, result)  # the lock is free: the write lands
+        assert open_store(tmp_path).get(SMALL.cache_key(), "aria") == result
+
+    @pytest.mark.parametrize("op", _READS)
+    def test_reads_are_not_blocked_by_a_peer_writer(self, tmp_path, op):
+        """WAL readers see the last commit while a peer holds the write lock."""
+        result = self._seeded(tmp_path)
+        store = open_store(tmp_path)
+        assert store.get(SMALL.cache_key(), "aria") == result  # connected
+        holder = _hold_write_lock(tmp_path)
+        try:
+            _STORE_OPS[op](store, result)
+            assert open_store(tmp_path).get(SMALL.cache_key(), "aria") == result
+        finally:
+            holder.close()
+        assert not (tmp_path / QUARANTINE_DIR).exists()
+
+    def test_open_retries_contention_until_it_clears(self, tmp_path, monkeypatch):
+        """Setup that loses a lock race outright is retried, not quarantined."""
+        real_connect = sqlite3.connect
+        attempts = []
+
+        class LosesTheFirstRaces:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def execute(self, sql, *args):
+                if sql.startswith("PRAGMA journal_mode") and len(attempts) < 3:
+                    attempts.append(sql)
+                    exc = sqlite3.OperationalError("database is locked")
+                    exc.sqlite_errorcode = sqlite3.SQLITE_BUSY
+                    raise exc
+                return self._conn.execute(sql, *args)
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        monkeypatch.setattr(
+            sqlite3, "connect", lambda *a, **kw: LosesTheFirstRaces(real_connect(*a, **kw))
+        )
+        result = create_backend("aria").predict(SMALL)
+        store = open_store(tmp_path)
+        store.put(SMALL.cache_key(), "aria", result)
+        monkeypatch.undo()
+        assert len(attempts) == 3
+        assert not (tmp_path / QUARANTINE_DIR).exists()
+        assert open_store(tmp_path).get(SMALL.cache_key(), "aria") == result
+
+    @pytest.mark.parametrize("writers", [2, 4, 8])
+    def test_racing_first_writes_to_a_fresh_store_all_land(self, tmp_path, writers):
+        """Store objects that open one new database at once all write to it."""
+        backend = create_backend("aria")
+        scenarios = [SMALL.with_updates(num_nodes=2 + i) for i in range(writers)]
+        results = [backend.predict(scenario) for scenario in scenarios]
+        for round_ in range(10):
+            store_path = tmp_path / f"round-{round_}"
+            stores = [open_store(store_path) for _ in range(writers)]
+            barrier = threading.Barrier(writers, timeout=30.0)
+            errors: list[BaseException] = []
+
+            def write(store, scenario, result) -> None:
+                try:
+                    barrier.wait()
+                    store.put(scenario.cache_key(), "aria", result)
+                except BaseException as exc:  # noqa: BLE001 — surfaced via the list
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=write, args=args)
+                for args in zip(stores, scenarios, results)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            assert not errors
+            assert not (store_path / QUARANTINE_DIR).exists()
+            assert open_store(store_path).refresh().loaded == writers
 
 
 class TestVersioning:
