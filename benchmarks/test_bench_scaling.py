@@ -13,7 +13,9 @@ must perform zero backend evaluations), an iterative-ML comparison across
 all six backends, and the batched-sweep engine: per-scenario vs. one-call
 ``predict_batch`` throughput over a dense static-backend grid, MVA grid
 warm-starting (fewer A2–A6 iterations, same totals), and scheduler-driven
-cold vs. warm sweep throughput.
+cold vs. warm sweep throughput.  The ``model_layers`` line times cold solves
+of the three analytic backends and the simulator at 8n / 16n×4 / 32n and
+pins their iteration and ``maximum_of`` integration counts.
 
 Set ``BENCH_SMOKE=1`` to run only the smallest scenario (used by CI on every
 push, where timing noise makes the larger scenarios uninformative).
@@ -27,6 +29,7 @@ regressions, not scheduler noise.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -35,7 +38,7 @@ import time
 import pytest
 
 from repro.api import PredictionService, Scenario, ScenarioSuite, SweepScheduler, create_backend
-from repro.core import EstimatorKind, Hadoop2PerformanceModel
+from repro.core import EstimatorKind, Hadoop2PerformanceModel, estimators
 from repro.core.mva_solver import DEFAULT_EPSILON
 from repro.units import gigabytes, megabytes
 from repro.workloads import (
@@ -503,6 +506,91 @@ def test_bench_faulted_sweep():
             f"faulted sweep took {faulted_seconds:.2f}s vs {clean_seconds:.2f}s "
             f"clean ({record['overhead']:.1f}x) — unbounded retry overhead?"
         )
+
+
+#: (label, num_nodes, input GiB, concurrent jobs) of the model-layer bench.
+MODEL_SCALES = [("8n", 8, 4, 1), ("16n4j", 16, 16, 4), ("32n", 32, 64, 1)]
+MODEL_BACKENDS = ["mva-forkjoin", "mva-tripathi", "vianna", "simulator"]
+
+#: Deterministic work of one cold solve: (A2–A6 iterations, Tripathi
+#: ``maximum_of`` integrations) per (backend, scale).  The simulator has no
+#: fixed point; only Tripathi integrates.
+MODEL_WORK = {
+    ("mva-forkjoin", "8n"): (2, 0),
+    ("mva-forkjoin", "16n4j"): (11, 0),
+    ("mva-forkjoin", "32n"): (2, 0),
+    ("mva-tripathi", "8n"): (2, 22),
+    ("mva-tripathi", "16n4j"): (11, 165),
+    ("mva-tripathi", "32n"): (2, 28),
+    ("vianna", "8n"): (2, 0),
+    ("vianna", "16n4j"): (5, 0),
+    ("vianna", "32n"): (2, 0),
+    ("simulator", "8n"): (None, 0),
+    ("simulator", "16n4j"): (None, 0),
+    ("simulator", "32n"): (None, 0),
+}
+
+
+@contextlib.contextmanager
+def _counting_integrations():
+    """Count Tripathi's ``maximum_of`` calls (one numerical integration each)."""
+    calls = [0]
+    original = estimators.maximum_of
+
+    def counting(distributions):
+        calls[0] += 1
+        return original(distributions)
+
+    estimators.maximum_of = counting
+    try:
+        yield calls
+    finally:
+        estimators.maximum_of = original
+
+
+def test_bench_model_layers():
+    """Cold solves of every analytic backend and the simulator at three scales.
+
+    The wall time is reported for trend tracking, not asserted (it is
+    load-dependent); the iteration and integration counts are deterministic
+    and pinned exactly, so a change that makes the model do more work fails
+    here whatever the machine.
+    """
+    scales = MODEL_SCALES[:1] if _smoke_mode() else MODEL_SCALES
+    record: dict = {"bench": "model_layers"}
+    for label, num_nodes, input_gb, num_jobs in scales:
+        scenario = Scenario(
+            workload="wordcount",
+            num_nodes=num_nodes,
+            input_size_bytes=gigabytes(input_gb),
+            num_jobs=num_jobs,
+            num_reduces=num_nodes,
+            duration_cv=0.3,
+            seed=BENCH_SEED,
+            repetitions=1,
+        )
+        row = {}
+        for name in MODEL_BACKENDS:
+            backend = create_backend(name)
+            with _counting_integrations() as integrations:
+                started = time.perf_counter()
+                result = backend.predict(scenario)
+                elapsed = time.perf_counter() - started
+            row[name] = {
+                "elapsed_seconds": elapsed,  # reported, not asserted
+                "iterations": result.metadata.get("iterations"),
+                "integrations": integrations[0],
+                "total": result.total_seconds,
+            }
+        record[label] = row
+    print()
+    _emit(record)
+    for label, *_ in scales:
+        for name in MODEL_BACKENDS:
+            work = record[label][name]
+            assert (work["iterations"], work["integrations"]) == MODEL_WORK[
+                (name, label)
+            ], f"{name} at {label}"
 
 
 def test_bench_overlap_mva_solve():

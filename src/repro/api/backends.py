@@ -174,6 +174,24 @@ def _scaled_seed(previous_residences, previous_input, model_input):
     return seed
 
 
+def _warm_started_batch(scenarios: Sequence[Scenario], solve) -> list[PredictionResult]:
+    """Solve a grid in grid order, seeding each point from its family's last solve.
+
+    ``solve(scenario, neighbour)`` returns the result and the state
+    ``(converged residences, model input)`` that the family's next point is
+    seeded from.  ``neighbour`` is ``None`` for a family's first point, so a
+    one-scenario batch is exactly a cold ``predict``.
+    """
+    results: list[PredictionResult | None] = [None] * len(scenarios)
+    neighbours: dict[tuple, tuple] = {}
+    for index in _grid_order(scenarios):
+        family = _warm_start_family(scenarios[index])
+        results[index], neighbours[family] = solve(
+            scenarios[index], neighbours.get(family)
+        )
+    return results
+
+
 def create_backend(name: str, **options) -> PredictionBackend:
     """Instantiate a backend by name (``options`` go to its constructor)."""
     try:
@@ -251,6 +269,8 @@ class _MvaBackend:
 
     name: ClassVar[str]
     kind: ClassVar[EstimatorKind]
+    #: 2: the solver's array timeline path moved answers at summation order.
+    version: ClassVar[int] = 2
 
     def _result(
         self, scenario: Scenario, prediction, **extra_metadata
@@ -274,11 +294,21 @@ class _MvaBackend:
             },
         )
 
-    def predict(self, scenario: Scenario) -> PredictionResult:
+    def _solve(
+        self, scenario: Scenario, neighbour: tuple | None
+    ) -> tuple[PredictionResult, tuple]:
+        """One solve, seeded from a solved ``neighbour`` when given."""
         factor = _failure_inflation_factor(scenario, self.name)
-        model = Hadoop2PerformanceModel(scenario.model_input())
-        prediction = model.predict(self.kind)
-        return _inflate_result(self._result(scenario, prediction), factor)
+        model_input = scenario.model_input()
+        seed = _scaled_seed(*neighbour, model_input) if neighbour is not None else None
+        model = Hadoop2PerformanceModel(model_input)
+        prediction = model.predict(self.kind, initial_residences=seed)
+        result = self._result(scenario, prediction, warm_started=seed is not None)
+        state = (model.trace(self.kind).final_residences, model_input)
+        return _inflate_result(result, factor), state
+
+    def predict(self, scenario: Scenario) -> PredictionResult:
+        return self._solve(scenario, None)[0]
 
     def predict_batch(self, scenarios: Sequence[Scenario]) -> list[PredictionResult]:
         """Grid-ordered, warm-started evaluation of a whole sweep.
@@ -291,29 +321,9 @@ class _MvaBackend:
         shrinks (``metadata["warm_started"]`` records which points were
         seeded).
         """
-        factors = [
-            _failure_inflation_factor(scenario, self.name) for scenario in scenarios
-        ]
-        results: list[PredictionResult | None] = [None] * len(scenarios)
-        seeds: dict[tuple, tuple] = {}
-        for index in _grid_order(scenarios):
-            scenario = scenarios[index]
-            family = _warm_start_family(scenario)
-            model_input = scenario.model_input()
-            previous = seeds.get(family)
-            seed = (
-                _scaled_seed(previous[0], previous[1], model_input)
-                if previous is not None
-                else None
-            )
-            model = Hadoop2PerformanceModel(model_input)
-            prediction = model.predict(self.kind, initial_residences=seed)
-            seeds[family] = (model.trace(self.kind).final_residences, model_input)
-            results[index] = _inflate_result(
-                self._result(scenario, prediction, warm_started=seed is not None),
-                factors[index],
-            )
-        return results
+        for scenario in scenarios:  # decline the whole batch before any solve
+            _failure_inflation_factor(scenario, self.name)
+        return _warm_started_batch(scenarios, self._solve)
 
 
 @register_backend("mva-forkjoin")
@@ -602,6 +612,8 @@ class ViannaBackend:
     """Vianna et al.'s slot-based Hadoop 1.x baseline model."""
 
     name: ClassVar[str]
+    #: 2: the solver's array timeline path moved answers at summation order.
+    version: ClassVar[int] = 2
 
     def __init__(self, map_slots_per_node: int = 2, reduce_slots_per_node: int = 2) -> None:
         self.map_slots_per_node = map_slots_per_node
@@ -627,50 +639,35 @@ class ViannaBackend:
             },
         )
 
-    def predict(self, scenario: Scenario) -> PredictionResult:
+    def _solve(
+        self, scenario: Scenario, neighbour: tuple | None
+    ) -> tuple[PredictionResult, tuple]:
+        """One solve, seeded from a solved ``neighbour`` when given."""
         _decline_failures(scenario, self.name)
         model = ViannaHadoop1Model(
             scenario.model_input(),
             map_slots_per_node=self.map_slots_per_node,
             reduce_slots_per_node=self.reduce_slots_per_node,
         )
-        return self._result(scenario, model.predict())
+        model_input = model.model_input
+        seed = _scaled_seed(*neighbour, model_input) if neighbour is not None else None
+        prediction = model.predict(initial_residences=seed)
+        result = self._result(scenario, prediction, warm_started=seed is not None)
+        return result, (model.trace.final_residences, model_input)
+
+    def predict(self, scenario: Scenario) -> PredictionResult:
+        return self._solve(scenario, None)[0]
 
     def predict_batch(self, scenarios: Sequence[Scenario]) -> list[PredictionResult]:
-        """Grid-ordered sweep on the array-based solver path, warm-started.
+        """Grid-ordered, warm-started evaluation of a whole sweep.
 
-        Each point runs the Hadoop 1.x fixed point with the vectorised
-        timeline/overlap machinery of :mod:`repro.core.fast_timeline`
-        (identical placement, NumPy overlap sums) and is seeded from the
-        previously solved grid neighbour of its family — the two levers that
-        make a dense grid orders of magnitude cheaper than per-scenario
-        ``predict`` calls.
+        Each point runs the Hadoop 1.x fixed point seeded from the previously
+        solved grid neighbour of its family, as :meth:`_MvaBackend.predict_batch`
+        does.
         """
-        for scenario in scenarios:
+        for scenario in scenarios:  # decline the whole batch before any solve
             _decline_failures(scenario, self.name)
-        results: list[PredictionResult | None] = [None] * len(scenarios)
-        seeds: dict[tuple, tuple] = {}
-        for index in _grid_order(scenarios):
-            scenario = scenarios[index]
-            family = _warm_start_family(scenario)
-            model = ViannaHadoop1Model(
-                scenario.model_input(),
-                map_slots_per_node=self.map_slots_per_node,
-                reduce_slots_per_node=self.reduce_slots_per_node,
-                fast_timeline=True,
-            )
-            previous = seeds.get(family)
-            seed = (
-                _scaled_seed(previous[0], previous[1], model.model_input)
-                if previous is not None
-                else None
-            )
-            prediction = model.predict(initial_residences=seed)
-            seeds[family] = (model.trace.final_residences, model.model_input)
-            results[index] = self._result(
-                scenario, prediction, warm_started=seed is not None
-            )
-        return results
+        return _warm_started_batch(scenarios, self._solve)
 
 
 @register_backend("simulator")

@@ -121,24 +121,45 @@ class ForkJoinEstimator(ResponseTimeEstimator):
         return NodeEstimate(mean=mean, coefficient_of_variation=cv)
 
 
+#: Maxima already integrated during one fold, keyed on (left, right) child.
+_Maxima = dict[
+    tuple[ResponseTimeDistribution, ResponseTimeDistribution], ResponseTimeDistribution
+]
+
+
 class TripathiEstimator(ResponseTimeEstimator):
-    """Tripathi-based estimator (paper Section 4.2.4, option 1)."""
+    """Tripathi-based estimator (paper Section 4.2.4, option 1).
+
+    A balanced tree over identical task instances repeats the same child
+    pairs many times, so each fold memoises ``maximum_of([left, right])``
+    (a numerical integration) on the two child distributions.  They are
+    frozen dataclasses: equal keys mean the same type and the same
+    parameters, so a hit returns exactly what the integration would (a NaN
+    parameter never compares equal and always misses).  The memo lives for
+    one :meth:`estimate_node` call only, so every solve integrates afresh.
+    """
 
     kind = EstimatorKind.TRIPATHI
 
-    def _node_distribution(self, node: PrecedenceNode) -> ResponseTimeDistribution:
+    def _node_distribution(
+        self, node: PrecedenceNode, maxima: _Maxima
+    ) -> ResponseTimeDistribution:
         if isinstance(node, LeafNode):
             return fit_distribution(
                 node.mean_response_time, node.coefficient_of_variation
             )
-        left = self._node_distribution(node.left)
-        right = self._node_distribution(node.right)
+        left = self._node_distribution(node.left, maxima)
+        right = self._node_distribution(node.right, maxima)
         if node.operator is OperatorKind.SERIAL:
             return sum_of([left, right])
-        return maximum_of([left, right])
+        key = (left, right)
+        maximum = maxima.get(key)
+        if maximum is None:
+            maximum = maxima[key] = maximum_of([left, right])
+        return maximum
 
     def estimate_node(self, node: PrecedenceNode) -> NodeEstimate:
-        distribution = self._node_distribution(node)
+        distribution = self._node_distribution(node, {})
         return NodeEstimate(
             mean=distribution.mean,
             coefficient_of_variation=distribution.coefficient_of_variation,

@@ -59,14 +59,12 @@ class Hadoop2PerformanceModel:
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         balanced_tree: bool = True,
         enforce_merge_after_last_map: bool = True,
-        fast_timeline: bool = False,
     ) -> None:
         self.model_input = model_input
         self.epsilon = epsilon
         self.max_iterations = max_iterations
         self.balanced_tree = balanced_tree
         self.enforce_merge_after_last_map = enforce_merge_after_last_map
-        self.fast_timeline = fast_timeline
         self._traces: dict[EstimatorKind, SolverTrace] = {}
 
     def _solver(self, estimator: EstimatorKind | str) -> ModifiedMVASolver:
@@ -76,7 +74,6 @@ class Hadoop2PerformanceModel:
             max_iterations=self.max_iterations,
             balanced_tree=self.balanced_tree,
             enforce_merge_after_last_map=self.enforce_merge_after_last_map,
-            fast_timeline=self.fast_timeline,
         )
 
     def predict(

@@ -2,15 +2,18 @@
 
 Each iteration:
 
-* **A2** rebuilds the timeline of one job from the current per-class,
-  per-center residence-time estimates (initially the uncontended service
-  demands or the Herodotou/profile seeds);
-* **A3** computes the intra-/inter-job overlap factors from that timeline;
+* **A2** places the tasks of one job on the cluster (Algorithm 1) from the
+  current per-class, per-center residence-time estimates (initially the
+  uncontended service demands or the Herodotou/profile seeds), with the
+  array placement of :func:`~repro.core.fast_timeline.place_tasks`;
+* **A3** computes the intra-/inter-job overlap factors from that placement
+  (vectorised with NumPy);
 * **A4** solves the closed queueing network with the overlap-weighted
   approximate MVA, producing new per-class residence and response times;
-* **A5** rebuilds the timeline and precedence tree with the new estimates and
-  computes the job response time with the selected estimator
-  (fork/join or Tripathi);
+* **A5** places the tasks again with the new estimates, materialises the
+  timeline, builds the precedence tree and computes the job response time
+  with the selected estimator (fork/join or Tripathi).  The placement is
+  also the next iteration's A2: both are computed from the same residences;
 * **A6** compares the new job response time against the previous iteration's
   value; the loop stops when the change is below ``epsilon`` (1e-7 by
   default, the value the paper recommends).
@@ -27,13 +30,12 @@ from ..queueing.mva_overlap import OverlapFactors, solve_mva_with_overlaps
 from ..queueing.network import ClosedNetwork
 from ..queueing.service_center import CenterKind, ServiceCenter, ServiceDemand
 from .estimators import EstimatorKind, create_estimator
-from .fast_timeline import place_tasks
-from .overlap import compute_overlap_factors
+from .fast_timeline import TimelinePlacement, place_tasks
 from .parameters import ModelInput, ServiceCenterName, TaskClass
 from .precedence.builder import build_precedence_tree
 from .precedence.metrics import tree_depth
 from .precedence.tree import PrecedenceNode
-from .timeline import Timeline, build_timeline
+from .timeline import Timeline
 
 #: Per-class, per-center residence times — the solver's iterated state.
 Residences = dict[TaskClass, dict[ServiceCenterName, float]]
@@ -100,7 +102,6 @@ class ModifiedMVASolver:
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         balanced_tree: bool = True,
         enforce_merge_after_last_map: bool = True,
-        fast_timeline: bool = False,
     ) -> None:
         if epsilon <= 0:
             raise ModelError("epsilon must be positive")
@@ -111,12 +112,6 @@ class ModifiedMVASolver:
         self.max_iterations = max_iterations
         self.balanced_tree = balanced_tree
         self.enforce_merge_after_last_map = enforce_merge_after_last_map
-        #: Use the array-based placement of :mod:`repro.core.fast_timeline`
-        #: for A2/A3 (vectorised overlap factors) and A5.  The placement is
-        #: identical to :func:`build_timeline`'s; only the overlap matrices
-        #: differ, at floating-point summation order.  Default off so the
-        #: scalar paths stay bit-for-bit unchanged.
-        self.fast_timeline = fast_timeline
 
     # -- building blocks -----------------------------------------------------------
 
@@ -185,58 +180,32 @@ class ModifiedMVASolver:
             inter_job=np.clip(overlaps.inter_job * factor, 0.0, 1.0),
         )
 
-    def _timeline_durations(
-        self,
-        model_input: ModelInput,
-        residences: Residences,
-    ) -> tuple[float, float, float, float]:
-        """(map, shuffle base, full shuffle network, merge) durations for Algorithm 1."""
-        map_duration = sum(residences[TaskClass.MAP].values())
-        shuffle_network = residences[TaskClass.SHUFFLE_SORT][ServiceCenterName.NETWORK]
-        shuffle_base = (
-            residences[TaskClass.SHUFFLE_SORT][ServiceCenterName.CPU]
-            + residences[TaskClass.SHUFFLE_SORT][ServiceCenterName.DISK]
-        )
-        merge_duration = sum(residences[TaskClass.MERGE].values())
+    def _place_tasks(
+        self, model_input: ModelInput, residences: Residences
+    ) -> TimelinePlacement:
+        """Algorithm 1 placement (A2/A5) from the current per-class per-center residences.
+
+        The same placement as :func:`~repro.core.timeline.build_timeline`'s,
+        entry for entry; that scalar path is kept only as the test oracle.
+        """
+        shuffle = residences[TaskClass.SHUFFLE_SORT]
         remote_fraction = self._expected_remote_fraction(model_input)
-        if remote_fraction > 0:
-            # ``build_timeline`` expects the time to fetch the *entire* input
-            # remotely and scales it by the actual remote-map fraction; the
-            # residence time corresponds to the expected remote portion.
-            shuffle_network_full = shuffle_network / remote_fraction
-        else:
-            shuffle_network_full = 0.0
-        return map_duration, shuffle_base, shuffle_network_full, merge_duration
-
-    def _build_timeline(
-        self,
-        model_input: ModelInput,
-        residences: Residences,
-    ) -> Timeline:
-        """Timeline from the current per-class per-center residence times."""
-        map_duration, shuffle_base, shuffle_network_full, merge_duration = (
-            self._timeline_durations(model_input, residences)
-        )
-        return build_timeline(
-            model_input,
-            map_duration=map_duration,
-            shuffle_sort_base_duration=shuffle_base,
-            shuffle_network_duration=shuffle_network_full,
-            merge_duration=merge_duration,
-            enforce_merge_after_last_map=self.enforce_merge_after_last_map,
-        )
-
-    def _place_tasks(self, model_input: ModelInput, residences: Residences):
-        """Array-based placement for the fast-timeline mode (same inputs as A2)."""
-        map_duration, shuffle_base, shuffle_network_full, merge_duration = (
-            self._timeline_durations(model_input, residences)
+        # ``place_tasks`` expects the time to fetch the *entire* input
+        # remotely and scales it by the actual remote-map fraction; the
+        # residence time corresponds to the expected remote portion.
+        shuffle_network_full = (
+            shuffle[ServiceCenterName.NETWORK] / remote_fraction
+            if remote_fraction > 0
+            else 0.0
         )
         return place_tasks(
             model_input,
-            map_duration=map_duration,
-            shuffle_sort_base_duration=shuffle_base,
+            map_duration=sum(residences[TaskClass.MAP].values()),
+            shuffle_sort_base_duration=(
+                shuffle[ServiceCenterName.CPU] + shuffle[ServiceCenterName.DISK]
+            ),
             shuffle_network_duration=shuffle_network_full,
-            merge_duration=merge_duration,
+            merge_duration=sum(residences[TaskClass.MERGE].values()),
             enforce_merge_after_last_map=self.enforce_merge_after_last_map,
         )
 
@@ -360,14 +329,12 @@ class ModifiedMVASolver:
         else:
             residences = self._initial_residences(model_input, initial_response_times)
         previous_estimate: float | None = None
+        # A2 of the first iteration; later iterations reuse A5's placement.
+        placement = self._place_tasks(model_input, residences)
 
         for index in range(1, self.max_iterations + 1):
-            # A2/A3: overlap factors from the timeline of the current estimates.
-            if self.fast_timeline:
-                overlaps = self._place_tasks(model_input, residences).overlap_factors()
-            else:
-                timeline = self._build_timeline(model_input, residences)
-                overlaps = compute_overlap_factors(timeline)
+            # A3: overlap factors from the placement of the current estimates.
+            overlaps = placement.overlap_factors()
             scaled = self._scaled_overlaps(overlaps, model_input)
             # A4: overlap-weighted MVA.
             solution = solve_mva_with_overlaps(
@@ -391,12 +358,8 @@ class ModifiedMVASolver:
                 for task_class in TaskClass.ordered()
             }
             # A5: response time over the rebuilt tree.
-            if self.fast_timeline:
-                updated_timeline = self._place_tasks(
-                    model_input, residences
-                ).to_timeline()
-            else:
-                updated_timeline = self._build_timeline(model_input, residences)
+            placement = self._place_tasks(model_input, residences)
+            updated_timeline = placement.to_timeline()
             tree = build_precedence_tree(
                 updated_timeline,
                 coefficient_of_variation=cv_by_class,

@@ -16,6 +16,11 @@ proportional to how much the two classes actually execute concurrently
   instant of the workload by the class-``j`` utilisation of the timeline
   (busy time / makespan, capped at 1).  This is the classical
   "independent-phases" approximation.
+
+:func:`compute_overlap_factors` sums the pairwise overlaps in a Python
+double loop over timeline entries.  The solver uses the NumPy twin,
+:meth:`~repro.core.fast_timeline.TimelinePlacement.overlap_factors`; this
+loop is the reference the tests compare it against.
 """
 
 from __future__ import annotations

@@ -21,6 +21,11 @@ into its **shuffle-sort** and **merge** segments (the two reduce subtask
 classes of Section 4.1), and — matching the running example of Figures 6-7 —
 the merge segment cannot start before the last map task has finished, because
 the final sort needs every map output fetched.
+
+The solver places tasks with :func:`~repro.core.fast_timeline.place_tasks`,
+which computes the same placement without the per-task loop; this module is
+the readable reference that the tests and the running-example bench compare
+against.
 """
 
 from __future__ import annotations

@@ -46,7 +46,6 @@ class ViannaHadoop1Model:
         reduce_slots_per_node: int = 2,
         epsilon: float = 1e-7,
         max_iterations: int = 60,
-        fast_timeline: bool = False,
     ) -> None:
         if map_slots_per_node <= 0 or reduce_slots_per_node <= 0:
             raise ConfigurationError("slot counts must be positive")
@@ -61,7 +60,6 @@ class ViannaHadoop1Model:
             estimator=ForkJoinEstimator(literal=True),
             epsilon=epsilon,
             max_iterations=max_iterations,
-            fast_timeline=fast_timeline,
         )
         self._trace: SolverTrace | None = None
 

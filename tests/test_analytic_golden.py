@@ -93,6 +93,19 @@ def test_answer_within_tolerance_of_scalar_path(label, backend):
         assert actual["phases"][phase] == pytest.approx(seconds, rel=REL_TOL, abs=0), phase
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("label", sorted(golden_scenarios()))
+def test_predict_and_one_point_batch_agree_bit_for_bit(label, backend):
+    """The route that computed an answer (and so the one the store keeps) is moot."""
+    scenario = golden_scenarios()[label]
+    instance = create_backend(backend)
+    single = instance.predict(scenario)
+    batched = instance.predict_batch([scenario])[0]
+    assert batched.total_seconds == single.total_seconds
+    assert dict(batched.phases) == dict(single.phases)
+    assert batched.metadata["iterations"] == single.metadata["iterations"]
+
+
 def write_golden() -> None:
     golden = {
         label: {

@@ -24,9 +24,11 @@ from repro.core.initialization import (
     initialize_from_herodotou,
     initialize_from_profile,
 )
+from repro.core import estimators
 from repro.core.precedence.tree import LeafNode, OperatorKind, OperatorNode
 from repro.core.task_instances import TaskInstance
 from repro.exceptions import ModelError
+from repro.queueing.distributions import fit_distribution, maximum_of, sum_of
 from repro.static_models.herodotou import DataflowStatistics, HadoopEnvironment, CostStatistics
 from repro.units import MiB
 
@@ -136,6 +138,79 @@ class TestEstimators:
         assert isinstance(create_estimator(EstimatorKind.TRIPATHI), TripathiEstimator)
         with pytest.raises(ModelError):
             create_estimator("unknown")
+
+
+def unmemoised_tripathi(node):
+    """Tripathi's fold without the memo: one integration per P-node."""
+    if isinstance(node, LeafNode):
+        return fit_distribution(node.mean_response_time, node.coefficient_of_variation)
+    left = unmemoised_tripathi(node.left)
+    right = unmemoised_tripathi(node.right)
+    if node.operator is OperatorKind.SERIAL:
+        return sum_of([left, right])
+    return maximum_of([left, right])
+
+
+def parallel_nodes(node) -> int:
+    if isinstance(node, LeafNode):
+        return 0
+    own = 1 if node.operator is OperatorKind.PARALLEL else 0
+    return own + parallel_nodes(node.left) + parallel_nodes(node.right)
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """Count the estimator's ``maximum_of`` calls (one integration each)."""
+    calls = []
+    original = estimators.maximum_of
+
+    def counting(distributions):
+        calls.append(len(distributions))
+        return original(distributions)
+
+    monkeypatch.setattr(estimators, "maximum_of", counting)
+    return calls
+
+
+class TestTripathiMemo:
+    """Tripathi's maxima are memoised within one fold and never across folds."""
+
+    INPUTS = {
+        "erlang": dict(num_maps=40, num_reduces=6, num_nodes=4, cv=0.4),
+        "hyperexponential": dict(num_maps=40, num_reduces=6, num_nodes=4, cv=1.4),
+        "three-jobs": dict(num_jobs=3, num_maps=24, num_reduces=5, num_nodes=3, cv=0.3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_memoised_fold_equals_unmemoised_fold_bit_for_bit(self, name):
+        trace = ModifiedMVASolver(estimator=EstimatorKind.TRIPATHI).solve(
+            make_input(**self.INPUTS[name])
+        )
+        expected = unmemoised_tripathi(trace.final_tree)
+        actual = TripathiEstimator().estimate_node(trace.final_tree)
+        assert actual.mean.hex() == expected.mean.hex()
+        assert (
+            actual.coefficient_of_variation.hex()
+            == expected.coefficient_of_variation.hex()
+        )
+
+    def test_memo_skips_repeated_child_pairs(self, integrations):
+        trace = ModifiedMVASolver(estimator=EstimatorKind.TRIPATHI).solve(
+            make_input(**self.INPUTS["erlang"])
+        )
+        integrations.clear()
+        TripathiEstimator().estimate(trace.final_tree)
+        assert 0 < len(integrations) < parallel_nodes(trace.final_tree)
+
+    def test_every_solve_integrates_afresh(self, integrations):
+        solver = ModifiedMVASolver(estimator=EstimatorKind.TRIPATHI)
+        model_input = make_input(**self.INPUTS["three-jobs"])
+        first = solver.solve(model_input)
+        first_count = len(integrations)
+        second = solver.solve(model_input)
+        assert first_count > 0
+        assert len(integrations) - first_count == first_count
+        assert second.job_response_time == first.job_response_time
 
 
 class TestInitialization:

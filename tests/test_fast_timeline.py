@@ -1,11 +1,13 @@
 """Equivalence tests: array-based placement vs. the scalar timeline path.
 
-The batched backends rely on :mod:`repro.core.fast_timeline` producing the
-*same placement* as :func:`repro.core.timeline.build_timeline` (Algorithm 1)
-and overlap factors equal to :func:`repro.core.overlap.compute_overlap_factors`
-up to floating-point summation order.  These tests sweep the parameter space
-(cluster shapes, task counts, slow start, merge enforcement, degenerate
-durations) and compare entry for entry.
+The modified-MVA solver relies on :mod:`repro.core.fast_timeline` producing
+the *same placement* as :func:`repro.core.timeline.build_timeline`
+(Algorithm 1, kept as the oracle) and overlap factors equal to
+:func:`repro.core.overlap.compute_overlap_factors` up to floating-point
+summation order.  These tests sweep the parameter space (cluster shapes, task
+counts, slow start, merge enforcement, degenerate durations) and compare
+entry for entry; ``tests/test_analytic_golden.py`` pins whole solves against
+answers the scalar path computed.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import EstimatorKind, ModifiedMVASolver
+from repro.core import ModifiedMVASolver
 from repro.core.fast_timeline import place_tasks
 from repro.core.overlap import compute_overlap_factors
 from repro.core.parameters import ModelInput, TaskClass, TaskClassDemands
@@ -114,38 +116,7 @@ class TestPlacementEquivalence:
         assert placement.map_starts().shape == (14,)
 
 
-class TestFastSolverMode:
-    @pytest.mark.parametrize("num_jobs", [1, 2])
-    @pytest.mark.parametrize("kind", [EstimatorKind.FORK_JOIN, EstimatorKind.TRIPATHI])
-    def test_fast_mode_matches_scalar_solve(self, num_jobs, kind):
-        demands = {
-            TaskClass.MAP: TaskClassDemands(cpu_seconds=8.0, disk_seconds=3.0),
-            TaskClass.SHUFFLE_SORT: TaskClassDemands(
-                cpu_seconds=0.0, disk_seconds=2.0, network_seconds=6.0
-            ),
-            TaskClass.MERGE: TaskClassDemands(cpu_seconds=5.0, disk_seconds=2.5),
-        }
-        model_input = ModelInput(
-            num_nodes=4,
-            max_maps_per_node=4,
-            max_reduces_per_node=2,
-            num_maps=24,
-            num_reduces=8,
-            num_jobs=num_jobs,
-            demands=demands,
-        )
-        scalar = ModifiedMVASolver(estimator=kind).solve(model_input)
-        fast = ModifiedMVASolver(estimator=kind, fast_timeline=True).solve(model_input)
-        assert fast.converged == scalar.converged
-        assert fast.job_response_time == pytest.approx(
-            scalar.job_response_time, rel=1e-9
-        )
-        for task_class in TaskClass.ordered():
-            assert fast.class_response_times[task_class] == pytest.approx(
-                scalar.class_response_times[task_class], rel=1e-9
-            )
-        assert fast.final_residences is not None
-
+class TestSolverWarmStart:
     def test_warm_start_reaches_same_fixed_point(self):
         model_input = make_input(4, 4, 2, 24, 8, True)
         solver = ModifiedMVASolver()

@@ -702,6 +702,23 @@ class TestVersioning:
         assert scan.loaded == 0
         assert reopened.get(key, "aria") is None
 
+    @pytest.mark.parametrize("backend", ["mva-forkjoin", "mva-tripathi", "vianna"])
+    def test_records_before_the_array_timeline_path_are_re_evaluated(
+        self, tmp_path, backend
+    ):
+        """Version 1 answers came from the scalar timeline path: stale now."""
+        store_path = tmp_path / "store"
+        original = PredictionService(backends=[backend], store=store_path).evaluate(
+            SMALL, backend
+        )
+        _set_version_field(store_path, "backend_version", 1)
+        assert open_store(store_path).refresh().stale == 1
+        service = PredictionService(backends=[backend], store=store_path)
+        assert service.evaluate(SMALL, backend) == original
+        stats = service.stats()
+        assert (stats.store_hits, stats.evaluations) == (0, 1)
+        assert open_store(store_path).refresh().loaded == 1
+
     def test_unregistered_backend_records_are_stale(self, tmp_path, temporary_backend):
         temporary_backend("counting-stub", _counting_backend_class())
         service = PredictionService(backends=["counting-stub"], store=tmp_path / "store")
